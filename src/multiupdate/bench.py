@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 from .binary import BINARY_KINDS
 from .data import BINARY_SPACE, Dataset, as_learning_instances, permute
-from .engine import CountingMode, LoopConfig, RunStats, check_norm_bound, run_sequence, trace_records
-from .errors import ConfigError
+from .engine import (CountingMode, LoopConfig, RunStats, check_norm_bound, run_sequence,
+                     trace_records, write_trace)
+from .errors import ConfigError, NumericalDegeneracyError
 from .multiclass import MULTICLASS_KINDS
 from .params import HyperParams
 
@@ -119,13 +120,16 @@ _CTX: dict = {}
 def _run_one(kind: str, m: int, run_index: int):
     sequences = _CTX["sequences"]
     cfg = LoopConfig(m=m, counting_mode=_CTX["counting_mode"], stop_early=_CTX["stop_early"])
-    _, trace, stats = run_sequence(
-        kind, _CTX["hp"], sequences[run_index], _CTX["d"], cfg,
-        num_classes=_CTX["num_classes"],
-    )
+    try:
+        _, records, stats = run_sequence(
+            kind, _CTX["hp"], sequences[run_index], _CTX["d"], cfg,
+            num_classes=_CTX["num_classes"],
+        )
+    except NumericalDegeneracyError as exc:
+        raise NumericalDegeneracyError(f"{kind} m={m} run={run_index}: {exc}") from None
     audit_summary = None
     if _CTX["audit"]:
-        report = check_norm_bound(trace, m)
+        report = check_norm_bound(records, m)
         audit_summary = (
             len(report.instances),
             report.min_slack,
@@ -133,7 +137,7 @@ def _run_one(kind: str, m: int, run_index: int):
         )
     rows = None
     if _CTX["want_trace"]:
-        rows = trace_records(trace, algorithm=kind, m=m, run=run_index)
+        rows = trace_records(records, algorithm=kind, m=m, run=run_index)
     return stats, audit_summary, rows
 
 
@@ -209,9 +213,7 @@ def run_benchmark(dataset: Dataset, algorithms: list[str], m_values: list[int],
                             result.audit_failures.append(
                                 AuditFailure(kind, m, r, idx, lhs, rhs))
                     if rows is not None:
-                        import json
-                        for row in rows:
-                            trace_fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+                        write_trace(trace_fh, rows)
     finally:
         if pool is not None:
             pool.shutdown()

@@ -24,16 +24,14 @@ import math
 
 import numpy as np
 
-from .core import PASSIVE_EPS, SparseVector, UpdateInfo, hinge_loss, predict_linear
-from .errors import ConfigError, NumericalDegeneracyError
+from .core import (PASSIVE_EPS, SparseVector, UpdateInfo, cw_alpha, cw_step, downdate,
+                   hinge_loss, ogd_tau, pa1_tau, pa2_tau, pa_tau, passive, predict_linear,
+                   scw1_alpha, scw2_alpha, sigma_x)
+from .errors import ConfigError
 from .numerics import inv_norm_cdf
 from .params import HyperParams
 
 _DEGENERACY_EPS = 1e-12
-
-
-def _passive(loss: float, mispredicted: bool) -> UpdateInfo:
-    return UpdateInfo(loss=loss, triggered=False, mispredicted=mispredicted)
 
 
 def _sparse_add(w: np.ndarray, x: SparseVector, coef: float) -> float:
@@ -95,7 +93,7 @@ class Perceptron(FirstOrderLearner):
         loss = hinge_loss(y, s)
         mis = y * s <= 0
         if not mis or x.squared_norm() <= PASSIVE_EPS:
-            return _passive(loss, mis)
+            return passive(loss, mis)
         dsq = _sparse_add(self.w, x, float(y))
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=1.0, mispredicted=mis)
@@ -105,8 +103,7 @@ class _PABase(FirstOrderLearner):
     """Passive-aggressive: step size tau chosen so the instance reaches margin 1,
     optionally truncated; update fires whenever hinge loss is positive."""
 
-    def _tau(self, loss: float, xsq: float) -> float:
-        raise NotImplementedError
+    tau_rule = staticmethod(pa_tau)
 
     def step(self, x, y):
         s = self.score(x)
@@ -117,8 +114,8 @@ class _PABase(FirstOrderLearner):
         # is already met (an uncapped step lands on it exactly); treating it
         # as positive would re-trigger zero-size updates on repeat cycles.
         if loss <= PASSIVE_EPS or xsq <= PASSIVE_EPS:
-            return _passive(loss, mis)
-        tau = self._tau(loss, xsq)
+            return passive(loss, mis)
+        tau = self.tau_rule(loss, xsq, self.hp, self.t)
         dsq = _sparse_add(self.w, x, tau * y)
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=tau, mispredicted=mis)
@@ -127,25 +124,18 @@ class _PABase(FirstOrderLearner):
 class PA(_PABase):
     kind = "PA"
 
-    def _tau(self, loss, xsq):
-        return loss / xsq
-
 
 class PA1(_PABase):
     kind = "PA1"
-
-    def _tau(self, loss, xsq):
-        return min(self.hp.C, loss / xsq)
+    tau_rule = staticmethod(pa1_tau)
 
 
 class PA2(_PABase):
     kind = "PA2"
-
-    def _tau(self, loss, xsq):
-        return loss / (xsq + 1.0 / (2.0 * self.hp.C))
+    tau_rule = staticmethod(pa2_tau)
 
 
-class OGD(FirstOrderLearner):
+class OGD(_PABase):
     """Online gradient descent on the hinge loss with eta_t = eta0 / sqrt(t).
 
     t is the outer-instance counter: it advances once per instance, so the
@@ -153,18 +143,7 @@ class OGD(FirstOrderLearner):
     """
 
     kind = "OGD"
-
-    def step(self, x, y):
-        s = self.score(x)
-        loss = hinge_loss(y, s)
-        mis = y * s <= 0
-        xsq = x.squared_norm()
-        if loss <= PASSIVE_EPS or xsq <= PASSIVE_EPS:
-            return _passive(loss, mis)
-        eta = self.hp.eta0 / math.sqrt(self.t if self.t >= 1 else 1)
-        dsq = _sparse_add(self.w, x, eta * y)
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
-                          tau=eta, mispredicted=mis)
+    tau_rule = staticmethod(ogd_tau)
 
 
 class ALMA(FirstOrderLearner):
@@ -188,11 +167,11 @@ class ALMA(FirstOrderLearner):
         mis = y * s <= 0
         xsq = x.squared_norm()
         if xsq <= PASSIVE_EPS:
-            return _passive(loss, mis)
+            return passive(loss, mis)
         xnorm = math.sqrt(xsq)
         theta = self.hp.alma_B / math.sqrt(self.k)
         if y * s / xnorm > (1.0 - self.hp.alma_alpha) * theta:
-            return _passive(loss, mis)
+            return passive(loss, mis)
         eta = self.hp.alma_C / math.sqrt(self.k)
         old = self.w.copy()
         self.w[x.indices] += eta * y * x.values / xnorm
@@ -219,7 +198,7 @@ class _RommaBase(FirstOrderLearner):
         triggered = loss > PASSIVE_EPS if self.aggressive else mis
         xsq = x.squared_norm()
         if not triggered or xsq <= PASSIVE_EPS:
-            return _passive(loss, mis)
+            return passive(loss, mis)
         wsq = float(self.w @ self.w)
         den = xsq * wsq - s * s
         if wsq <= _DEGENERACY_EPS or abs(den) < _DEGENERACY_EPS:
@@ -285,7 +264,7 @@ class SOP(BinaryLearner):
         mis = y * s <= 0
         xsq = x.squared_norm()
         if not mis or xsq <= PASSIVE_EPS:
-            return _passive(loss, mis)
+            return passive(loss, mis)
         dsq = _sparse_add(self.v, x, float(y))
         if self._P is not None:
             px = self._P[:, x.indices] @ x.values
@@ -312,24 +291,9 @@ class SecondOrderLearner(BinaryLearner):
     def primary_norm(self):
         return float(np.linalg.norm(self.mu))
 
-    def _sigma_x(self, x: SparseVector):
-        """(Sigma @ x, x^T Sigma x) without densifying x."""
-        sx = self.sigma[:, x.indices] @ x.values
-        return sx, float(sx[x.indices] @ x.values)
-
-    def _commit(self, sx: np.ndarray, mu_coef: float, rank1_coef: float) -> float:
-        """Apply mu += mu_coef * Sigma*x and Sigma -= rank1_coef * (Sigma*x)(Sigma*x)^T.
-
-        The new covariance is validated before anything is committed; a
-        non-positive diagonal means the closed form degenerated numerically,
-        in which case the state is left untouched and the error surfaces.
-        Returns the squared norm of the mean change.
-        """
-        new_sigma = self.sigma - rank1_coef * np.outer(sx, sx)
-        if np.diagonal(new_sigma).min() <= 0.0:
-            raise NumericalDegeneracyError(
-                f"{self.kind}: covariance update lost positive definiteness"
-            )
+    def _commit(self, sx: np.ndarray, mu_coef: float, new_sigma: np.ndarray) -> float:
+        """Apply mu += mu_coef * sx and Sigma = new_sigma (already validated by
+        core.downdate); returns the squared norm of the mean change."""
         self.sigma = new_sigma
         new_mu = self.mu + mu_coef * sx
         dsq = float(np.sum((new_mu - self.mu) ** 2))
@@ -346,35 +310,22 @@ class CW(SecondOrderLearner):
     """
 
     kind = "CW"
+    alpha_rule = staticmethod(cw_alpha)
 
     def __init__(self, d, hp):
         super().__init__(d, hp)
         self._phi = inv_norm_cdf(hp.cw_eta)
 
-    def _alpha(self, m: float, v: float) -> float:
-        phi = self._phi
-        psi = 1.0 + phi * phi / 2.0
-        zeta = 1.0 + phi * phi
-        return max(0.0, (-m * psi + math.sqrt(m * m * phi ** 4 / 4.0 + v * phi * phi * zeta))
-                   / (v * zeta))
-
     def step(self, x, y):
         s = self.score(x)
         mis = y * s <= 0
         if x.squared_norm() <= PASSIVE_EPS:
-            return _passive(hinge_loss(y, s), mis)
-        sx, v = self._sigma_x(x)
-        m = y * s
-        loss = max(0.0, self._phi * math.sqrt(v) - m)
-        if loss <= PASSIVE_EPS or v <= PASSIVE_EPS:
-            return _passive(loss, mis)
-        alpha = self._alpha(m, v)
+            return passive(hinge_loss(y, s), mis)
+        sx, v = sigma_x(self.sigma, x)
+        loss, alpha, beta = cw_step(self.alpha_rule, y * s, v, self._phi, self.hp)
         if alpha <= 0.0:
-            return _passive(loss, mis)
-        phi = self._phi
-        u = 0.25 * (-alpha * v * phi + math.sqrt(alpha * alpha * v * v * phi * phi + 4.0 * v)) ** 2
-        beta = alpha * phi / (math.sqrt(u) + v * alpha * phi)
-        dsq = self._commit(sx, alpha * y, beta)
+            return passive(loss, mis)
+        dsq = self._commit(sx, alpha * y, downdate(self.sigma, sx, beta))
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=alpha, mispredicted=mis)
 
@@ -383,23 +334,14 @@ class SCW1(CW):
     """Soft confidence-weighted, variant I: the CW step capped at C."""
 
     kind = "SCW1"
-
-    def _alpha(self, m, v):
-        return min(self.hp.scw_C, super()._alpha(m, v))
+    alpha_rule = staticmethod(scw1_alpha)
 
 
 class SCW2(CW):
     """Soft confidence-weighted, variant II: the CW step damped by a slack term."""
 
     kind = "SCW2"
-
-    def _alpha(self, m, v):
-        phi = self._phi
-        n = v + 1.0 / (2.0 * self.hp.scw_C)
-        phi2 = phi * phi
-        num = -(2.0 * m * n + phi2 * m * v) + phi * math.sqrt(
-            phi2 * m * m * v * v + 4.0 * n * v * (n + v * phi2))
-        return max(0.0, num / (2.0 * (n * n + n * v * phi2)))
+    alpha_rule = staticmethod(scw2_alpha)
 
 
 class AROW(SecondOrderLearner):
@@ -416,13 +358,13 @@ class AROW(SecondOrderLearner):
         loss = hinge_loss(y, s)
         mis = y * s <= 0
         if loss <= PASSIVE_EPS or x.squared_norm() <= PASSIVE_EPS:
-            return _passive(loss, mis)
-        sx, v = self._sigma_x(x)
+            return passive(loss, mis)
+        sx, v = sigma_x(self.sigma, x)
         if v <= PASSIVE_EPS:
-            return _passive(loss, mis)
+            return passive(loss, mis)
         beta = 1.0 / (v + self._r(v))
         alpha = loss * beta
-        dsq = self._commit(sx, alpha * y, beta)
+        dsq = self._commit(sx, alpha * y, downdate(self.sigma, sx, beta))
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=alpha, mispredicted=mis)
 
@@ -455,15 +397,15 @@ class NHERD(SecondOrderLearner):
         loss = hinge_loss(y, s)
         mis = y * s <= 0
         if loss <= PASSIVE_EPS or x.squared_norm() <= PASSIVE_EPS:
-            return _passive(loss, mis)
-        sx, v = self._sigma_x(x)
+            return passive(loss, mis)
+        sx, v = sigma_x(self.sigma, x)
         if v <= PASSIVE_EPS:
-            return _passive(loss, mis)
+            return passive(loss, mis)
         C = self.hp.C
         beta = 1.0 / (v + 1.0 / C)
         alpha = loss * beta
         factor = (C * C * v + 2.0 * C) / (1.0 + C * v) ** 2
-        dsq = self._commit(sx, alpha * y, factor)
+        dsq = self._commit(sx, alpha * y, downdate(self.sigma, sx, factor))
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=alpha, mispredicted=mis)
 
@@ -482,20 +424,15 @@ class IELLIP(SecondOrderLearner):
         loss = hinge_loss(y, s)
         mis = y * s <= 0
         if not mis or x.squared_norm() <= PASSIVE_EPS:
-            return _passive(loss, mis)
-        sx, v = self._sigma_x(x)
+            return passive(loss, mis)
+        sx, v = sigma_x(self.sigma, x)
         if v <= PASSIVE_EPS:
-            return _passive(loss, mis)
+            return passive(loss, mis)
         root_v = math.sqrt(v)
         alpha = (1.0 - y * s) / root_v
         sg = y * sx / root_v                      # Sigma @ g
-        new_sigma = self.hp.iellip_b * (self.sigma - self.hp.iellip_c * np.outer(sg, sg))
-        if np.diagonal(new_sigma).min() <= 0.0:
-            raise NumericalDegeneracyError("IELLIP: covariance update lost positive definiteness")
-        self.sigma = new_sigma
-        new_mu = self.mu + alpha * sg
-        dsq = float(np.sum((new_mu - self.mu) ** 2))
-        self.mu = new_mu
+        new_sigma = self.hp.iellip_b * downdate(self.sigma, sg, self.hp.iellip_c)
+        dsq = self._commit(sg, alpha, new_sigma)
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=alpha, mispredicted=mis)
 

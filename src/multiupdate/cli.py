@@ -3,7 +3,8 @@
     multiupdate bench --data a9a --algos PA1,OGD --m 1,2,4 --runs 20 --seed 7
 
 Exit codes: 0 success, 1 configuration/usage error, 2 data error, 3 norm-bound
-audit failure.
+audit failure, 4 numerical degeneracy (a second-order learner's covariance
+lost positive definiteness on this data).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import click
 from .bench import emit, run_benchmark
 from .data import load_dataset, normalize_labels, subsample
 from .engine import CountingMode
-from .errors import BoundAuditError, ConfigError, DataError
+from .errors import BoundAuditError, ConfigError, DataError, NumericalDegeneracyError
 from .params import HyperParams
 
 log = logging.getLogger(__name__)
@@ -169,6 +170,9 @@ def bench(ctx: click.Context, **params) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
+    except NumericalDegeneracyError as exc:
+        click.echo(f"error: {exc}", err=True)
+        return 4
     except BoundAuditError as exc:
         click.echo(f"error: {exc}", err=True)
         return 3

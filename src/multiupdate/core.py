@@ -1,4 +1,5 @@
-"""Shared domain types, loss functions, and linear prediction.
+"""Shared domain types, loss functions, linear prediction, and the closed-form
+step sizes that the binary and multiclass catalogs share.
 
 Conventions used throughout the package:
 
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NumericalDegeneracyError
+from .params import HyperParams
 
 
 class SparseVector:
@@ -49,16 +51,10 @@ class SparseVector:
     def squared_norm(self) -> float:
         return self._sq_norm
 
-    def norm(self) -> float:
-        return math.sqrt(self._sq_norm)
-
     @property
     def max_index(self) -> int:
         """Largest 0-based index, or -1 for an all-zero vector."""
         return int(self.indices[-1]) if self.indices.size else -1
-
-    def nnz(self) -> int:
-        return int(self.indices.size)
 
     def pairs(self):
         """Entries as (index, value) tuples, 0-based."""
@@ -94,31 +90,6 @@ def hinge_loss(y: int, score: float) -> float:
     return max(0.0, 1.0 - y * score)
 
 
-def logistic_loss(y: int, score: float) -> float:
-    """log(1 + exp(-y*score)), overflow-safe for any finite score.
-
-    For z = y*score below -30 the direct exp would overflow; the identity
-    log(1 + e^-z) = -z + log(1 + e^z) gives the asymptotically linear branch
-    with no accuracy loss.
-    """
-    z = y * score
-    if z < -30.0:
-        return -z + math.log1p(math.exp(z))
-    return math.log1p(math.exp(-z))
-
-
-def squared_loss(targets, predictions) -> float:
-    """Mean squared difference between targets and predictions."""
-    t = np.asarray(targets, dtype=np.float64)
-    p = np.asarray(predictions, dtype=np.float64)
-    if t.shape != p.shape or t.ndim != 1:
-        raise ValueError("targets and predictions must be 1-d and equal length")
-    if t.size == 0:
-        raise ValueError("squared_loss needs at least one pair")
-    d = t - p
-    return float(d @ d) / t.size
-
-
 @dataclass
 class UpdateInfo:
     """Record of one predict/maybe-update cycle.
@@ -141,3 +112,97 @@ class UpdateInfo:
 
 PASSIVE_EPS = 1e-15
 """Below this squared norm an instance is treated as all-zero and skipped."""
+
+
+def passive(loss: float, mispredicted: bool) -> UpdateInfo:
+    """An untriggered cycle: no state change, zero delta and step."""
+    return UpdateInfo(loss=loss, triggered=False, mispredicted=mispredicted)
+
+
+# Step-size rules of the passive-aggressive family (Crammer et al., JMLR
+# 2006) plus OGD: tau from the hinge loss, the squared norm of the update
+# direction (2*||x||^2 for the multiclass difference vector), the
+# hyperparameters and the outer clock t.
+
+def pa_tau(loss: float, xsq: float, hp: HyperParams, t: int) -> float:
+    return loss / xsq
+
+
+def pa1_tau(loss: float, xsq: float, hp: HyperParams, t: int) -> float:
+    return min(hp.C, loss / xsq)
+
+
+def pa2_tau(loss: float, xsq: float, hp: HyperParams, t: int) -> float:
+    return loss / (xsq + 1.0 / (2.0 * hp.C))
+
+
+def ogd_tau(loss: float, xsq: float, hp: HyperParams, t: int) -> float:
+    """eta0 / sqrt(t): constant across one instance's cycles, since t is the outer clock."""
+    return hp.eta0 / math.sqrt(t if t >= 1 else 1)
+
+
+# Confidence-weighted family (CW exact form; SCW1/SCW2 of Wang, Zhao & Hoi,
+# ICML 2012): alpha from the margin m, the confidence v = x^T Sigma x of the
+# update direction (2 * x^T Sigma x for the multiclass difference vector)
+# and phi, the normal quantile of the confidence level.
+
+def cw_alpha(m: float, v: float, phi: float, hp: HyperParams) -> float:
+    psi = 1.0 + phi * phi / 2.0
+    zeta = 1.0 + phi * phi
+    return max(0.0, (-m * psi + math.sqrt(m * m * phi ** 4 / 4.0 + v * phi * phi * zeta))
+               / (v * zeta))
+
+
+def scw1_alpha(m: float, v: float, phi: float, hp: HyperParams) -> float:
+    """The CW step capped at scw_C."""
+    return min(hp.scw_C, cw_alpha(m, v, phi, hp))
+
+
+def scw2_alpha(m: float, v: float, phi: float, hp: HyperParams) -> float:
+    """The CW step damped by a slack term of weight scw_C."""
+    n = v + 1.0 / (2.0 * hp.scw_C)
+    phi2 = phi * phi
+    num = -(2.0 * m * n + phi2 * m * v) + phi * math.sqrt(
+        phi2 * m * m * v * v + 4.0 * n * v * (n + v * phi2))
+    return max(0.0, num / (2.0 * (n * n + n * v * phi2)))
+
+
+def cw_step(alpha_rule, m: float, v: float, phi: float,
+            hp: HyperParams) -> tuple[float, float, float]:
+    """(loss, alpha, beta) of one CW-family update at margin m and confidence v.
+
+    loss is the shortfall max(0, phi*sqrt(v) - m); alpha == 0 means the
+    cycle stays passive. A negative v can only come from a covariance that
+    is no longer positive definite, so it raises NumericalDegeneracyError
+    rather than failing inside the square root.
+    """
+    if not v >= 0.0:
+        raise NumericalDegeneracyError(
+            f"x^T Sigma x = {v!r}: the covariance lost positive definiteness")
+    loss = max(0.0, phi * math.sqrt(v) - m)
+    if loss <= PASSIVE_EPS or v <= PASSIVE_EPS:
+        return loss, 0.0, 0.0
+    alpha = alpha_rule(m, v, phi, hp)
+    if alpha <= 0.0:
+        return loss, 0.0, 0.0
+    u = 0.25 * (-alpha * v * phi + math.sqrt(alpha * alpha * v * v * phi * phi + 4.0 * v)) ** 2
+    beta = alpha * phi / (math.sqrt(u) + v * alpha * phi)
+    return loss, alpha, beta
+
+
+def sigma_x(sigma: np.ndarray, x: SparseVector) -> tuple[np.ndarray, float]:
+    """(Sigma @ x, x^T Sigma x) without densifying x."""
+    sx = sigma[:, x.indices] @ x.values
+    return sx, float(sx[x.indices] @ x.values)
+
+
+def downdate(sigma: np.ndarray, sx: np.ndarray, coef: float) -> np.ndarray:
+    """Sigma - coef * (Sigma x)(Sigma x)^T, validated before anyone commits it.
+
+    A non-positive diagonal means the closed form degenerated numerically;
+    the caller's state is left untouched and NumericalDegeneracyError raised.
+    """
+    new_sigma = sigma - coef * np.outer(sx, sx)
+    if np.diagonal(new_sigma).min() <= 0.0:
+        raise NumericalDegeneracyError("covariance update lost positive definiteness")
+    return new_sigma

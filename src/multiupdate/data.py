@@ -6,16 +6,21 @@ File format, one instance per non-empty line::
     <label> <index>:<value> <index>:<value> ...   # optional comment
 
 Indices are 1-based in the file and 0-based in memory. Values parse as
-64-bit floats and no feature scaling is applied. Files whose first two bytes
+64-bit floats and no feature scaling is applied; labels must be finite, and
+so must each row's squared norm (no NaN/inf values, no squares that
+overflow). Files whose first two bytes
 are the gzip magic are decompressed transparently.
 """
 from __future__ import annotations
 
 import gzip
 import io
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import BinaryIO
+
+import numpy as np
 
 from .core import SparseVector
 from .errors import DataError
@@ -56,11 +61,15 @@ def _infer_space(labels: set[float]) -> tuple[str, int]:
     return MULTICLASS_SPACE, len(labels)
 
 
+# A NaN/inf value or an overflowing square makes a row's squared norm
+# non-finite; the parser reports that as a DataError, so numpy need not warn.
+@np.errstate(over="ignore")
 def parse_sparse_text(stream: BinaryIO, name: str = "") -> Dataset:
     """Parse the sparse text format from a byte stream.
 
-    Malformed pairs, non-numeric fields, indices < 1, and duplicate indices
-    raise DataError with the 1-based line number. Within-line indices are
+    Malformed pairs, non-numeric fields, non-finite labels or values, values
+    whose square overflows, indices < 1, and duplicate indices raise
+    DataError with the 1-based line number. Within-line indices are
     re-sorted, so out-of-order entries are accepted; duplicates are not.
     """
     head = stream.read(2)
@@ -87,6 +96,8 @@ def parse_sparse_text(stream: BinaryIO, name: str = "") -> Dataset:
             label = float(fields[0])
         except ValueError:
             raise DataError(f"{name}:{lineno}: bad label {fields[0]!r}") from None
+        if not math.isfinite(label):
+            raise DataError(f"{name}:{lineno}: non-finite label {fields[0]!r}")
         pairs = []
         for tok in fields[1:]:
             idx_s, sep, val_s = tok.partition(":")
@@ -107,6 +118,10 @@ def parse_sparse_text(stream: BinaryIO, name: str = "") -> Dataset:
         if pairs:
             max_index = max(max_index, pairs[-1][0] + 1)
         vec = SparseVector([p[0] for p in pairs], [p[1] for p in pairs])
+        if not math.isfinite(vec.squared_norm()):
+            bad = [f"{i + 1}:{v!r}" for i, v in pairs if not math.isfinite(v * v)]
+            raise DataError(f"{name}:{lineno}: non-finite feature value or squared norm"
+                            f" ({', '.join(bad) or 'the sum of squares overflows'})")
         instances.append((vec, label))
     if not instances:
         raise DataError(f"{name}: no instances found")
@@ -152,10 +167,6 @@ def as_learning_instances(ds: Dataset) -> list[tuple[SparseVector, int]]:
 def permute(n: int, seed: int) -> list[int]:
     """Reproducible permutation of range(n); see rng.permutation for the pinned procedure."""
     return permutation(n, seed)
-
-
-def apply_permutation(items: list, perm: Iterable[int]) -> list:
-    return [items[i] for i in perm]
 
 
 def subsample(ds: Dataset, k: int, seed: int) -> Dataset:

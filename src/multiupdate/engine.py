@@ -6,15 +6,15 @@ predict-once/update-once protocol. A mistake is judged from the first
 cycle's prediction (default) or fractionally over all cycles; updates are
 counted over all cycles either way.
 
-Every processed instance leaves enough in the trace to verify, after the
-fact, that the final state norm obeys
+Every processed instance leaves one InstanceRecord, enough to verify after
+the fact that the final state norm obeys
 
     ||w*|| <= ||w0|| + sqrt(M) * (sum_j ||delta_j||^2)^(1/2)
 
 where w0/w* are the audited state vector before/after the instance's cycles
 and the delta_j are the per-cycle changes of that same vector. The
 inequality is Cauchy-Schwarz on the telescoped updates, so it must hold on
-every engine-produced trace; the audit exists to catch accounting bugs, not
+every engine-produced record; the audit exists to catch accounting bugs, not
 to test the math.
 """
 from __future__ import annotations
@@ -23,11 +23,11 @@ import enum
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .binary import BinaryLearner, make_binary
-from .core import SparseVector, UpdateInfo
+from .core import SparseVector
 from .errors import DataError
 from .multiclass import MulticlassLearner, make_multiclass
 from .params import HyperParams
@@ -53,27 +53,18 @@ class LoopConfig:
             raise ValueError("m must be >= 1")
 
 
-@dataclass
-class InstanceOutcome:
+@dataclass(slots=True)
+class InstanceRecord:
+    """What the cycles on one instance did; the norm-bound audit and the
+    trace export both read these fields and nothing else."""
+
     mistake: bool                      # first-cycle misprediction
     updates: int                       # triggered cycles, in [0, m]
-    deltas: list[UpdateInfo]
+    cycles: int                        # cycles actually executed
+    cycle_mispredictions: int          # for per-iteration counting
+    sum_delta_sq: float                # sum over cycles of ||delta||^2
+    w0_norm: float                     # audited-vector norm before the instance
     w_star_norm: float                 # audited-vector norm after the instance
-    cycle_mispredictions: int = 0      # for per-iteration counting
-    cycles: int = 0                    # cycles actually executed
-
-
-@dataclass
-class Trace:
-    initial_norms: list[float] = field(default_factory=list)
-    outcomes: list[InstanceOutcome] = field(default_factory=list)
-
-    def append(self, w0: float, outcome: InstanceOutcome) -> None:
-        self.initial_norms.append(w0)
-        self.outcomes.append(outcome)
-
-    def __len__(self):
-        return len(self.outcomes)
 
 
 @dataclass
@@ -86,27 +77,26 @@ class RunStats:
 Learner = BinaryLearner | MulticlassLearner
 
 
-def _mispredicted(learner: Learner, info: UpdateInfo) -> bool:
-    return info.mispredicted
-
-
-def process_instance(learner: Learner, x: SparseVector, y: int,
-                     cfg: LoopConfig) -> InstanceOutcome:
+def process_instance(learner: Learner, x: SparseVector, y: int, cfg: LoopConfig,
+                     w0_norm: float | None = None) -> InstanceRecord:
     """Run up to cfg.m predict/update cycles on one (x, y).
 
     The learner's outer clock is advanced here, once, regardless of how many
     cycles run. With stop_early the loop exits after the first untriggered
     cycle: the learners are deterministic, so every further cycle would
-    repeat the same prediction and stay passive.
+    repeat the same prediction and stay passive. w0_norm is the learner's
+    primary_norm() on entry; it is computed when the caller does not know it.
     """
+    if w0_norm is None:
+        w0_norm = learner.primary_norm()
     learner.begin_instance()
-    deltas: list[UpdateInfo] = []
     updates = 0
     cycle_mistakes = 0
+    sum_delta_sq = 0.0
     first_mistake = False
     for k in range(cfg.m):
         info = learner.step(x, y)
-        deltas.append(info)
+        sum_delta_sq += info.delta_sq_norm
         if k == 0:
             first_mistake = info.mispredicted
         if info.mispredicted:
@@ -121,23 +111,26 @@ def process_instance(learner: Learner, x: SparseVector, y: int,
             if info.mispredicted:
                 cycle_mistakes += cfg.m - (k + 1)
             break
-    return InstanceOutcome(
+    return InstanceRecord(
         mistake=first_mistake,
         updates=updates,
-        deltas=deltas,
-        w_star_norm=learner.primary_norm(),
+        cycles=k + 1,                  # m >= 1, so the loop ran cycles 0..k
         cycle_mispredictions=cycle_mistakes,
-        cycles=len(deltas),
+        sum_delta_sq=sum_delta_sq,
+        w0_norm=w0_norm,
+        w_star_norm=learner.primary_norm(),
     )
 
 
 def run_sequence(kind: str, hp: HyperParams, instances: Sequence[tuple[SparseVector, int]],
                  d: int, cfg: LoopConfig, num_classes: int | None = None,
-                 ) -> tuple[Learner, Trace, RunStats]:
+                 ) -> tuple[Learner, list[InstanceRecord], RunStats]:
     """Process an ordered instance sequence from a zero-initialized learner.
 
     cpu_seconds covers exactly the loop below — thread CPU time, so
-    harness-level parallelism does not distort it.
+    harness-level parallelism does not distort it. Instance i starts from
+    instance i-1's w_star_norm: begin_instance() only advances the clock, so
+    the norm is taken once per instance.
     """
     if not instances:
         raise DataError("cannot run on an empty dataset")
@@ -145,23 +138,24 @@ def run_sequence(kind: str, hp: HyperParams, instances: Sequence[tuple[SparseVec
         learner: Learner = make_binary(kind, d, hp)
     else:
         learner = make_multiclass(kind, num_classes, d, hp)
-    trace = Trace()
+    records: list[InstanceRecord] = []
     mistakes = 0.0
     updates = 0
     started = time.thread_time()
+    w0 = learner.primary_norm()
     for x, y in instances:
-        w0 = learner.primary_norm()
-        outcome = process_instance(learner, x, y, cfg)
-        trace.append(w0, outcome)
-        updates += outcome.updates
+        record = process_instance(learner, x, y, cfg, w0)
+        records.append(record)
+        w0 = record.w_star_norm
+        updates += record.updates
         if cfg.counting_mode is CountingMode.PER_ITERATION:
-            mistakes += outcome.cycle_mispredictions / cfg.m
+            mistakes += record.cycle_mispredictions / cfg.m
         else:
-            mistakes += 1.0 if outcome.mistake else 0.0
+            mistakes += 1.0 if record.mistake else 0.0
     cpu = time.thread_time() - started
     stats = RunStats(mistake_rate=mistakes / len(instances),
                      updates=float(updates), cpu_seconds=cpu)
-    return learner, trace, stats
+    return learner, records, stats
 
 
 @dataclass
@@ -193,52 +187,47 @@ class BoundReport:
         return min((b.slack for b in self.instances), default=0.0)
 
 
-def check_norm_bound(trace: Trace, m: int) -> BoundReport:
-    """Verify the accumulated-update norm bound on every traced instance.
+def check_norm_bound(records: Sequence[InstanceRecord], m: int) -> BoundReport:
+    """Verify the accumulated-update norm bound on every recorded instance.
 
-    For instance i with pre-instance norm ||w0||, per-cycle squared deltas
-    and post-instance norm ||w*||, checks
+    For instance i with pre-instance norm ||w0||, summed per-cycle squared
+    deltas and post-instance norm ||w*||, checks
     ||w*|| <= ||w0|| + sqrt(M) * (sum_j ||delta_j||^2)^(1/2) with
     tolerance 1e-9 * (1 + rhs). M is the configured cycle cap (M >= the
     realized update count by construction).
     """
-    if len(trace.initial_norms) != len(trace.outcomes):
-        raise ValueError("trace is missing per-instance records")
     results = []
     root_m = math.sqrt(m)
-    for i, (w0, outcome) in enumerate(zip(trace.initial_norms, trace.outcomes)):
-        if outcome.deltas is None:
-            raise ValueError(f"instance {i} has no delta records")
-        total_sq = sum(d.delta_sq_norm for d in outcome.deltas)
-        rhs = w0 + root_m * math.sqrt(total_sq)
-        results.append(InstanceBound(index=i, lhs=outcome.w_star_norm,
-                                     rhs=rhs, slack=rhs - outcome.w_star_norm))
+    for i, r in enumerate(records):
+        rhs = r.w0_norm + root_m * math.sqrt(r.sum_delta_sq)
+        results.append(InstanceBound(index=i, lhs=r.w_star_norm,
+                                     rhs=rhs, slack=rhs - r.w_star_norm))
     return BoundReport(instances=results)
 
 
-def trace_records(trace: Trace, **meta) -> list[dict]:
+def trace_records(records: Sequence[InstanceRecord], **meta) -> list[dict]:
     """Per-instance trace rows for line-delimited export.
 
     Consecutive rows chain: instance i's initial norm equals instance i-1's
     w_star_norm (the state carries over), but both ends are included so each
-    row can be audited standalone.
+    row can be audited standalone with check_norm_bound's inequality.
     """
     rows = []
-    for i, (w0, o) in enumerate(zip(trace.initial_norms, trace.outcomes)):
+    for i, r in enumerate(records):
         row = dict(meta)
         row.update(
             instance=i,
-            mistake=bool(o.mistake),
-            updates=o.updates,
-            sum_delta_sq=sum(d.delta_sq_norm for d in o.deltas),
-            w_star_norm=o.w_star_norm,
-            w0_norm=w0,
+            mistake=bool(r.mistake),
+            updates=r.updates,
+            sum_delta_sq=r.sum_delta_sq,
+            w_star_norm=r.w_star_norm,
+            w0_norm=r.w0_norm,
         )
         rows.append(row)
     return rows
 
 
-def write_trace(fh, trace: Trace, **meta) -> None:
-    """Write one JSON object per line for offline bound auditing."""
-    for row in trace_records(trace, **meta):
+def write_trace(fh, rows: list[dict]) -> None:
+    """Write trace_records() rows as one JSON object per line."""
+    for row in rows:
         fh.write(json.dumps(row, separators=(",", ":")) + "\n")

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError -> 1, DataError -> 2,
-BoundAuditError -> 3.
+BoundAuditError -> 3, NumericalDegeneracyError -> 4.
 """
 
 
@@ -22,4 +22,9 @@ class DimensionMismatchError(ConfigError):
 
 
 class NumericalDegeneracyError(RuntimeError):
-    """A covariance update lost positive definiteness; the state was rolled back."""
+    """A second-order learner's covariance lost positive definiteness.
+
+    Raised before the degenerate update is committed: either the proposed
+    covariance has a non-positive diagonal entry, or x^T Sigma x < 0 for the
+    current instance (the CW family would take its square root).
+    """

@@ -20,18 +20,14 @@ The audited state vector is the whole prototype matrix W (Frobenius norm).
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import PASSIVE_EPS, SparseVector, UpdateInfo
-from .errors import ConfigError, DimensionMismatchError, NumericalDegeneracyError
+from .core import (PASSIVE_EPS, SparseVector, UpdateInfo, cw_alpha, cw_step, downdate,
+                   ogd_tau, pa1_tau, pa2_tau, pa_tau, passive, scw1_alpha, scw2_alpha,
+                   sigma_x)
+from .errors import ConfigError, DimensionMismatchError
 from .numerics import inv_norm_cdf
 from .params import HyperParams
-
-
-def _passive(loss: float, mispredicted: bool) -> UpdateInfo:
-    return UpdateInfo(loss=loss, triggered=False, mispredicted=mispredicted)
 
 
 def _two_sided_row_update(W, x: SparseVector, y: int, losers, gain: float,
@@ -98,8 +94,7 @@ class MulticlassLearner:
 class _MPABase(MulticlassLearner):
     """PA family on the difference vector: W_y += tau*x, W_r -= tau*x."""
 
-    def _tau(self, loss: float, xsq2: float) -> float:
-        raise NotImplementedError
+    tau_rule = staticmethod(pa_tau)
 
     def step(self, x, y):
         _, pred, r, _, loss = self._margin_parts(x, y)
@@ -108,8 +103,8 @@ class _MPABase(MulticlassLearner):
         # Losses within rounding distance of zero count as satisfied so an
         # exactly-attained margin does not re-trigger on repeat cycles.
         if loss <= PASSIVE_EPS or xsq <= PASSIVE_EPS:
-            return _passive(loss, mis)
-        tau = self._tau(loss, 2.0 * xsq)
+            return passive(loss, mis)
+        tau = self.tau_rule(loss, 2.0 * xsq, self.hp, self.t)
         dsq = _two_sided_row_update(self.W, x, y, [r], tau, tau)
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=tau, mispredicted=mis)
@@ -118,22 +113,15 @@ class _MPABase(MulticlassLearner):
 class MPA(_MPABase):
     kind = "M_PA"
 
-    def _tau(self, loss, xsq2):
-        return loss / xsq2
-
 
 class MPA1(_MPABase):
     kind = "M_PA1"
-
-    def _tau(self, loss, xsq2):
-        return min(self.hp.C, loss / xsq2)
+    tau_rule = staticmethod(pa1_tau)
 
 
 class MPA2(_MPABase):
     kind = "M_PA2"
-
-    def _tau(self, loss, xsq2):
-        return loss / (xsq2 + 1.0 / (2.0 * self.hp.C))
+    tau_rule = staticmethod(pa2_tau)
 
 
 class MOGD(_MPABase):
@@ -141,9 +129,7 @@ class MOGD(_MPABase):
     OGD rate eta0 / sqrt(t) (t = outer instances)."""
 
     kind = "M_OGD"
-
-    def _tau(self, loss, xsq2):
-        return self.hp.eta0 / math.sqrt(self.t if self.t >= 1 else 1)
+    tau_rule = staticmethod(ogd_tau)
 
 
 class _MPerceptronBase(MulticlassLearner):
@@ -158,7 +144,7 @@ class _MPerceptronBase(MulticlassLearner):
         mis = pred != y
         xsq = x.squared_norm()
         if not mis or xsq <= PASSIVE_EPS:
-            return _passive(loss, mis)
+            return passive(loss, mis)
         violators = self._violators(s, y)
         if not violators:
             # Mispredicted purely by tie-break with no class strictly ahead
@@ -215,7 +201,7 @@ class _MRommaBase(MulticlassLearner):
         triggered = loss > PASSIVE_EPS if self.aggressive else margin <= 0.0
         xsq = x.squared_norm()
         if not triggered or xsq <= PASSIVE_EPS:
-            return _passive(loss, mis)
+            return passive(loss, mis)
         phisq = 2.0 * xsq
         wsq = float(np.sum(self.W * self.W))
         den = phisq * wsq - margin * margin
@@ -253,20 +239,11 @@ class _MSecondOrderBase(MulticlassLearner):
         super().__init__(num_classes, d, hp)
         self.sigma = np.eye(d)
 
-    def _sigma_x(self, x: SparseVector):
-        sx = self.sigma[:, x.indices] @ x.values
-        return sx, float(sx[x.indices] @ x.values)
-
     def _commit(self, y: int, r: int, sx: np.ndarray, alpha: float, rank1_coef: float) -> float:
         # rank1_coef arrives on the shared-Sigma scale (2x the binary beta);
         # positivity holds because 2*beta*(x^T Sigma x) = beta*v < 1 for both
         # the AROW and CW coefficient families.
-        new_sigma = self.sigma - rank1_coef * np.outer(sx, sx)
-        if np.diagonal(new_sigma).min() <= 0.0:
-            raise NumericalDegeneracyError(
-                f"{self.kind}: covariance update lost positive definiteness"
-            )
-        self.sigma = new_sigma
+        self.sigma = downdate(self.sigma, sx, rank1_coef)
         new_y = self.W[y] + alpha * sx
         new_r = self.W[r] - alpha * sx
         dsq = float(np.sum((new_y - self.W[y]) ** 2) + np.sum((new_r - self.W[r]) ** 2))
@@ -282,11 +259,11 @@ class MAROW(_MSecondOrderBase):
         _, pred, r, margin, loss = self._margin_parts(x, y)
         mis = pred != y
         if loss <= PASSIVE_EPS or x.squared_norm() <= PASSIVE_EPS:
-            return _passive(loss, mis)
-        sx, vx = self._sigma_x(x)
+            return passive(loss, mis)
+        sx, vx = sigma_x(self.sigma, x)
         v = 2.0 * vx
         if v <= PASSIVE_EPS:
-            return _passive(loss, mis)
+            return passive(loss, mis)
         beta = 1.0 / (v + self.hp.arow_r)
         alpha = loss * beta
         dsq = self._commit(y, r, sx, alpha, 2.0 * beta)
@@ -296,34 +273,21 @@ class MAROW(_MSecondOrderBase):
 
 class MCW(_MSecondOrderBase):
     kind = "M_CW"
+    alpha_rule = staticmethod(cw_alpha)
 
     def __init__(self, num_classes, d, hp):
         super().__init__(num_classes, d, hp)
         self._phi = inv_norm_cdf(hp.cw_eta)
 
-    def _alpha(self, m: float, v: float) -> float:
-        phi = self._phi
-        psi = 1.0 + phi * phi / 2.0
-        zeta = 1.0 + phi * phi
-        return max(0.0, (-m * psi + math.sqrt(m * m * phi ** 4 / 4.0 + v * phi * phi * zeta))
-                   / (v * zeta))
-
     def step(self, x, y):
         _, pred, r, margin, hinge = self._margin_parts(x, y)
         mis = pred != y
         if x.squared_norm() <= PASSIVE_EPS:
-            return _passive(hinge, mis)
-        sx, vx = self._sigma_x(x)
-        v = 2.0 * vx
-        loss = max(0.0, self._phi * math.sqrt(v) - margin)
-        if loss <= PASSIVE_EPS or v <= PASSIVE_EPS:
-            return _passive(loss, mis)
-        alpha = self._alpha(margin, v)
+            return passive(hinge, mis)
+        sx, vx = sigma_x(self.sigma, x)
+        loss, alpha, beta = cw_step(self.alpha_rule, margin, 2.0 * vx, self._phi, self.hp)
         if alpha <= 0.0:
-            return _passive(loss, mis)
-        phi = self._phi
-        u = 0.25 * (-alpha * v * phi + math.sqrt(alpha * alpha * v * v * phi * phi + 4.0 * v)) ** 2
-        beta = alpha * phi / (math.sqrt(u) + v * alpha * phi)
+            return passive(loss, mis)
         dsq = self._commit(y, r, sx, alpha, 2.0 * beta)
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=alpha, mispredicted=mis)
@@ -331,21 +295,12 @@ class MCW(_MSecondOrderBase):
 
 class MSCW1(MCW):
     kind = "M_SCW1"
-
-    def _alpha(self, m, v):
-        return min(self.hp.scw_C, super()._alpha(m, v))
+    alpha_rule = staticmethod(scw1_alpha)
 
 
 class MSCW2(MCW):
     kind = "M_SCW2"
-
-    def _alpha(self, m, v):
-        phi = self._phi
-        n = v + 1.0 / (2.0 * self.hp.scw_C)
-        phi2 = phi * phi
-        num = -(2.0 * m * n + phi2 * m * v) + phi * math.sqrt(
-            phi2 * m * m * v * v + 4.0 * n * v * (n + v * phi2))
-        return max(0.0, num / (2.0 * (n * n + n * v * phi2)))
+    alpha_rule = staticmethod(scw2_alpha)
 
 
 MULTICLASS_KINDS: dict[str, type[MulticlassLearner]] = {

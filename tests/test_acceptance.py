@@ -110,10 +110,10 @@ def test_criterion_1_single_cycle_equivalence():
         d = 10
         bin_seq = separable_instances(200, d, seed=3, margin=0.05, noise=0.1)
         for kind in sorted(BINARY_KINDS):
-            engine_learner, trace, stats = run_sequence(kind, HP, bin_seq, d, cfg)
+            engine_learner, records, stats = run_sequence(kind, HP, bin_seq, d, cfg)
             ref = make_binary(kind, d, HP)
             ref_mistakes, ref_updates = direct(ref, bin_seq)
-            if ([o.mistake for o in trace.outcomes] != ref_mistakes
+            if ([r.mistake for r in records] != ref_mistakes
                     or stats.updates != float(ref_updates)
                     or not np.array_equal(_state(engine_learner), _state(ref))):
                 mismatches.append(kind)
@@ -121,11 +121,11 @@ def test_criterion_1_single_cycle_equivalence():
         k = 4
         mc_seq = blob_instances(200, d, k, seed=5, spread=2.0)
         for kind in sorted(MULTICLASS_KINDS):
-            engine_learner, trace, stats = run_sequence(
+            engine_learner, records, stats = run_sequence(
                 kind, HP, mc_seq, d, cfg, num_classes=k)
             ref = make_multiclass(kind, k, d, HP)
             ref_mistakes, ref_updates = direct(ref, mc_seq)
-            if ([o.mistake for o in trace.outcomes] != ref_mistakes
+            if ([r.mistake for r in records] != ref_mistakes
                     or stats.updates != float(ref_updates)
                     or not np.array_equal(_state(engine_learner), _state(ref))):
                 mismatches.append(kind)

@@ -194,6 +194,31 @@ class TestExitCodes:
         rc = run_cli("--data", str(bad), "--runs", "1")
         assert rc == 2
 
+    def test_non_finite_value_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "nan.txt"
+        bad.write_text("+1 1:nan 2:1\n-1 1:1 2:-1\n")
+        rc = run_cli("--data", str(bad), "--algos", "PA1,CW", "--m", "1", "--runs", "1")
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "error: nan.txt:1: non-finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_degenerate_covariance_exits_4(self, tmp_path, monkeypatch, capsys, threads):
+        # heavily overlapping blobs drive M_CW's shared covariance indefinite;
+        # the typed error must reach the exit code from a pool worker too
+        path = tmp_path / "overlap.txt"
+        path.write_text(instances_to_text(blob_instances(200, 19, 7, seed=6, spread=0.2),
+                                          multiclass=True))
+        monkeypatch.setenv("BENCH_THREADS", threads)
+        rc = run_cli("--data", str(path), "--algos", "M_CW", "--m", "1,4,16",
+                     "--runs", "2", "--format", "csv")
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 4
+        assert len(err) == 1
+        assert err[0].startswith("error: M_CW m=4 run=0: ")
+        assert "positive definiteness" in err[0]
+
     def test_bad_m_list(self, binary_file):
         assert run_cli("--data", binary_file, "--m", "1,two", "--runs", "1") == 1
         assert run_cli("--data", binary_file, "--m", ",", "--runs", "1") == 1

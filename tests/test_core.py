@@ -1,14 +1,12 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiupdate.core import (PASSIVE_EPS, SparseVector, UpdateInfo, hinge_loss,
-                              logistic_loss, predict_linear, squared_loss)
+                              predict_linear)
 from multiupdate.errors import DimensionMismatchError
 
 
@@ -91,32 +89,6 @@ class TestLosses:
         ell = hinge_loss(y, s)
         assert ell >= 0.0
         assert (ell == 0.0) == (y * s >= 1.0)
-
-    def test_logistic_symmetry_at_zero(self):
-        assert logistic_loss(1, 0.0) == pytest.approx(math.log(2.0))
-        assert logistic_loss(-1, 0.0) == pytest.approx(math.log(2.0))
-
-    def test_logistic_always_positive(self):
-        # Positive over the whole range where exp(-z) is representable.
-        for ys in (-700.0, -50.0, -5.0, 0.0, 5.0, 50.0, 700.0):
-            assert logistic_loss(1, ys) > 0.0
-
-    def test_logistic_extreme_no_overflow(self):
-        assert logistic_loss(-1, 1e4) == pytest.approx(1e4, rel=1e-6)
-        assert logistic_loss(1, 50.0) == pytest.approx(math.exp(-50.0), rel=1e-9)
-
-    def test_squared_loss_mean(self):
-        assert squared_loss([1.0, 0.0], [0.0, 0.0]) == pytest.approx(0.5)
-        assert squared_loss([2.0], [2.0]) == 0.0
-
-    def test_squared_loss_empty_rejected(self):
-        with pytest.raises(ValueError):
-            squared_loss([], [])
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=10))
-    def test_squared_loss_zero_iff_equal(self, values):
-        assert squared_loss(values, values) == 0.0
 
 
 class TestUpdateInfo:

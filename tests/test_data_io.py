@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from multiupdate.data import (
     BINARY_SPACE,
     MULTICLASS_SPACE,
     Dataset,
-    apply_permutation,
     as_learning_instances,
     load_dataset,
     normalize_labels,
@@ -96,6 +96,21 @@ class TestParsing:
     def test_bad_label(self):
         with pytest.raises(DataError, match=r"g:3: bad label 'pos'"):
             parse_text("+1 1:1\n-1 1:2\npos 1:3\n", name="g")
+
+    @pytest.mark.parametrize("text, line, detail", [
+        ("+1 1:nan 2:1\n-1 1:1 2:-1\n", 1, "1:nan"),
+        ("+1 1:1\n-1 1:1 2:-inf\n", 2, "2:-inf"),
+        ("+1 1:1\n-1 1:1\n+1 3:1e200\n", 3, "3:1e+200"),
+        ("+1 1:1e154 2:1e154 3:1e154\n", 1, "the sum of squares overflows"),
+    ])
+    def test_non_finite_values_rejected(self, text, line, detail):
+        with pytest.raises(DataError, match=rf"f:{line}: non-finite .*\({re.escape(detail)}\)"):
+            parse_text(text, name="f")
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_non_finite_label_rejected(self, label):
+        with pytest.raises(DataError, match=rf"f:2: non-finite label '{label}'"):
+            parse_text(f"+1 1:1\n{label} 1:2\n", name="f")
 
     def test_zero_index(self):
         with pytest.raises(DataError, match="index 0 is not 1-based"):
@@ -188,10 +203,6 @@ class TestNormalization:
 class TestPermutation:
     def test_golden(self):
         assert permute(5, 42) == [0, 1, 3, 4, 2]
-
-    def test_apply(self):
-        items = ["a", "b", "c", "d"]
-        assert apply_permutation(items, [2, 0, 3, 1]) == ["c", "a", "d", "b"]
 
     @given(n=st.integers(min_value=1, max_value=200),
            seed=st.integers(min_value=0, max_value=2**64 - 1))

@@ -6,23 +6,23 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from multiupdate.binary import BINARY_KINDS, make_binary
-from multiupdate.core import SparseVector, UpdateInfo
+from multiupdate.core import SparseVector
 from multiupdate.engine import (
     CountingMode,
-    InstanceOutcome,
+    InstanceRecord,
     LoopConfig,
-    Trace,
     check_norm_bound,
     process_instance,
     run_sequence,
     trace_records,
     write_trace,
 )
-from multiupdate.errors import DataError
-from multiupdate.multiclass import MULTICLASS_KINDS
+from multiupdate.errors import DataError, NumericalDegeneracyError
+from multiupdate.multiclass import MULTICLASS_KINDS, make_multiclass
 from multiupdate.params import HyperParams
 
 from conftest import blob_instances, separable_instances
@@ -34,6 +34,13 @@ def vec(*pairs) -> SparseVector:
     idx = [i - 1 for i, _ in pairs]
     val = [v for _, v in pairs]
     return SparseVector(idx, val)
+
+
+def make_record(*, w0: float, sum_delta_sq: float, w_star: float,
+                updates: int) -> InstanceRecord:
+    return InstanceRecord(mistake=updates > 0, updates=updates, cycles=max(updates, 1),
+                          cycle_mispredictions=0, sum_delta_sq=sum_delta_sq,
+                          w0_norm=w0, w_star_norm=w_star)
 
 
 class TestLoopConfig:
@@ -55,20 +62,20 @@ class TestLoopConfig:
 class TestProcessInstance:
     def test_pa_converges_then_exits(self):
         learner = make_binary("PA", 1, HP)
-        outcome = process_instance(learner, vec((1, 1.0)), +1, LoopConfig(m=3))
+        record = process_instance(learner, vec((1, 1.0)), +1, LoopConfig(m=3))
         # cycle 1 updates onto the margin, cycle 2 sees loss 0 and exits
-        assert outcome.mistake
-        assert outcome.updates == 1
-        assert outcome.cycles == 2
+        assert record.mistake
+        assert record.updates == 1
+        assert record.cycles == 2
         assert learner.score(vec((1, 1.0))) == pytest.approx(1.0)
 
     def test_fully_passive_instance(self):
         learner = make_binary("Perceptron", 1, HP)
         learner.w[0] = 1.0
         before_t = learner.t
-        outcome = process_instance(learner, vec((1, 1.0)), +1, LoopConfig(m=32))
-        assert not outcome.mistake
-        assert outcome.updates == 0
+        record = process_instance(learner, vec((1, 1.0)), +1, LoopConfig(m=32))
+        assert not record.mistake
+        assert record.updates == 0
         assert learner.w[0] == 1.0
         assert learner.t == before_t + 1   # clock still advances once
 
@@ -82,9 +89,9 @@ class TestProcessInstance:
         # every cycle: exactly m updates
         for m in (1, 2, 5):
             learner = make_binary("PA2", 1, HP)
-            outcome = process_instance(learner, vec((1, 1.0)), +1, LoopConfig(m=m))
-            assert outcome.updates == m
-            assert outcome.cycles == m
+            record = process_instance(learner, vec((1, 1.0)), +1, LoopConfig(m=m))
+            assert record.updates == m
+            assert record.cycles == m
 
     def test_per_iteration_fraction_hand_case(self):
         # w = -0.65, x = 0.3: three mispredicted cycles drag w to +0.25,
@@ -94,9 +101,9 @@ class TestProcessInstance:
             learner.w[0] = -0.65
             cfg = LoopConfig(m=4, counting_mode=CountingMode.PER_ITERATION,
                              stop_early=stop_early)
-            outcome = process_instance(learner, vec((1, 0.3)), +1, cfg)
-            assert outcome.cycle_mispredictions == 3
-            assert outcome.updates == 3
+            record = process_instance(learner, vec((1, 0.3)), +1, cfg)
+            assert record.cycle_mispredictions == 3
+            assert record.updates == 3
             assert learner.w[0] == pytest.approx(0.25)
 
     def test_skipped_cycles_credit_repeat_mispredictions(self):
@@ -104,21 +111,33 @@ class TestProcessInstance:
         # early exit the remaining cycles must still count as repeats
         learner = make_binary("Perceptron", 2, HP)
         cfg = LoopConfig(m=6, counting_mode=CountingMode.PER_ITERATION)
-        outcome = process_instance(learner, SparseVector([], []), +1, cfg)
-        assert outcome.cycles == 1
-        assert outcome.cycle_mispredictions == 6
+        record = process_instance(learner, SparseVector([], []), +1, cfg)
+        assert record.cycles == 1
+        assert record.cycle_mispredictions == 6
 
     def test_ogd_rate_constant_within_instance(self):
         # advance the clock to t=4, then grind a persistent-loss instance:
         # every inner cycle must use the same eta = 1/sqrt(4)
         learner = make_binary("OGD", 1, HP)
-        for _ in range(3):
+        for _ in range(4):
             learner.begin_instance()
-        outcome = process_instance(learner, vec((1, 0.1)), +1,
-                                   LoopConfig(m=5, stop_early=False))
-        taus = [d.tau for d in outcome.deltas if d.triggered]
-        assert len(taus) == 5
-        assert all(t == 0.5 for t in taus)
+        infos = [learner.step(vec((1, 0.1)), +1) for _ in range(5)]
+        assert all(info.triggered for info in infos)
+        assert all(info.tau == 0.5 for info in infos)
+
+    def test_record_sums_cycle_deltas(self):
+        # PA2 never reaches the margin, so all m cycles fire; the record keeps
+        # their summed squared deltas and both ends' norms
+        learner = make_binary("PA2", 1, HP)
+        twin = make_binary("PA2", 1, HP)
+        record = process_instance(learner, vec((1, 1.0)), +1, LoopConfig(m=3))
+        twin.begin_instance()
+        expected = 0.0
+        for _ in range(3):
+            expected += twin.step(vec((1, 1.0)), +1).delta_sq_norm
+        assert record.sum_delta_sq == expected > 0.0
+        assert record.w0_norm == 0.0
+        assert record.w_star_norm == learner.primary_norm() == twin.primary_norm()
 
 
 class TestRunSequence:
@@ -128,19 +147,36 @@ class TestRunSequence:
 
     def test_repeated_separable_instance(self):
         instances = [(vec((1, 1.0)), +1)] * 10
-        _, trace, stats = run_sequence("PA", HP, instances, 1, LoopConfig(m=2))
+        _, records, stats = run_sequence("PA", HP, instances, 1, LoopConfig(m=2))
         assert stats.mistake_rate == pytest.approx(0.1)
         assert stats.updates == 1.0
-        assert len(trace) == 10
+        assert len(records) == 10
 
     def test_stats_shape(self):
         instances = separable_instances(50, 6, seed=2, margin=0.05, noise=0.1)
-        _, trace, stats = run_sequence("AROW", HP, instances, 6, LoopConfig(m=4))
+        _, records, stats = run_sequence("AROW", HP, instances, 6, LoopConfig(m=4))
         assert 0.0 <= stats.mistake_rate <= 1.0
-        assert stats.updates == sum(o.updates for o in trace.outcomes)
+        assert stats.updates == sum(r.updates for r in records)
         assert stats.cpu_seconds >= 0.0
-        assert all(0 <= o.updates <= 4 for o in trace.outcomes)
-        assert all(isinstance(o.mistake, bool) for o in trace.outcomes)
+        assert all(0 <= r.updates <= r.cycles <= 4 for r in records)
+        assert all(isinstance(r.mistake, bool) for r in records)
+
+    def test_norm_taken_once_per_instance(self, monkeypatch):
+        # instance i starts where instance i-1 ended, so the w0 norm is not
+        # recomputed: one primary_norm() per instance plus the initial one
+        calls = []
+
+        def counted(kind, d, hp):
+            learner = make_binary(kind, d, hp)
+            norm = learner.primary_norm
+            learner.primary_norm = lambda: calls.append(1) or norm()
+            return learner
+
+        monkeypatch.setattr("multiupdate.engine.make_binary", counted)
+        instances = separable_instances(25, 4, seed=2, margin=0.05, noise=0.1)
+        _, records, _ = run_sequence("PA1", HP, instances, 4, LoopConfig(m=4))
+        assert len(calls) == len(instances) + 1
+        assert records[0].w0_norm == 0.0
 
     @pytest.mark.parametrize("kind", sorted(BINARY_KINDS))
     @pytest.mark.parametrize("mode", list(CountingMode))
@@ -149,11 +185,11 @@ class TestRunSequence:
         results = []
         for stop_early in (True, False):
             cfg = LoopConfig(m=4, counting_mode=mode, stop_early=stop_early)
-            learner, trace, stats = run_sequence(kind, HP, instances, 5, cfg)
+            learner, records, stats = run_sequence(kind, HP, instances, 5, cfg)
             results.append((stats.mistake_rate, stats.updates,
                             learner.primary_norm(),
-                            [(o.mistake, o.updates, o.cycle_mispredictions,
-                              o.w_star_norm) for o in trace.outcomes]))
+                            [(r.mistake, r.updates, r.cycle_mispredictions,
+                              r.w_star_norm) for r in records]))
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("kind", sorted(MULTICLASS_KINDS))
@@ -163,19 +199,19 @@ class TestRunSequence:
         results = []
         for stop_early in (True, False):
             cfg = LoopConfig(m=4, counting_mode=mode, stop_early=stop_early)
-            learner, trace, stats = run_sequence(kind, HP, instances, 5, cfg,
-                                                 num_classes=3)
+            learner, records, stats = run_sequence(kind, HP, instances, 5, cfg,
+                                                   num_classes=3)
             results.append((stats.mistake_rate, stats.updates,
                             learner.primary_norm(),
-                            [(o.mistake, o.updates, o.cycle_mispredictions,
-                              o.w_star_norm) for o in trace.outcomes]))
+                            [(r.mistake, r.updates, r.cycle_mispredictions,
+                              r.w_star_norm) for r in records]))
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("kind", ("PA", "OGD", "CW", "SOP"))
     def test_m1_matches_direct_single_step_loop(self, kind):
         instances = separable_instances(120, 8, seed=4, margin=0.05, noise=0.1)
-        engine_learner, trace, stats = run_sequence(kind, HP, instances, 8,
-                                                    LoopConfig(m=1))
+        engine_learner, _, stats = run_sequence(kind, HP, instances, 8,
+                                                LoopConfig(m=1))
         direct = make_binary(kind, 8, HP)
         mistakes = updates = 0
         for x, y in instances:
@@ -189,44 +225,55 @@ class TestRunSequence:
 
     @pytest.mark.parametrize("kind", ("PA", "PA1", "PA2"))
     def test_pa_inner_loss_non_increasing(self, kind):
+        # eight cycles per instance, as the engine runs them with m=8 and no
+        # early exit: one clock tick, then repeated steps on the same (x, y)
         instances = separable_instances(80, 6, seed=6, margin=0.03, noise=0.2)
-        _, trace, _ = run_sequence(kind, HP, instances, 6,
-                                   LoopConfig(m=8, stop_early=False))
-        for outcome in trace.outcomes:
-            losses = [d.loss for d in outcome.deltas]
+        learner = make_binary(kind, 6, HP)
+        for x, y in instances:
+            learner.begin_instance()
+            losses = [learner.step(x, y).loss for _ in range(8)]
             for a, b in zip(losses, losses[1:]):
                 assert b <= a + 1e-12
+
+    @pytest.mark.parametrize("kind", ("CW", "SCW1", "SCW2", "M_CW", "M_SCW1", "M_SCW2"))
+    def test_indefinite_covariance_raises_typed_error(self, kind):
+        # Sigma = [[1, 2], [2, 1]] has a positive diagonal but eigenvalue -1
+        # along (1, -1), where x^T Sigma x = -2: the CW loss cannot take its
+        # square root, and the engine must say why instead of a math error
+        multiclass = kind.startswith("M_")
+        learner = (make_multiclass(kind, 3, 2, HP) if multiclass
+                   else make_binary(kind, 2, HP))
+        learner.sigma = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NumericalDegeneracyError, match="positive definiteness"):
+            process_instance(learner, vec((1, 1.0), (2, -1.0)), 1, LoopConfig(m=2))
+
+    def test_degenerate_multiclass_sequence_raises_typed_error(self):
+        # heavily overlapping blobs drive M_CW's shared covariance indefinite
+        instances = blob_instances(200, 19, 7, seed=6, spread=0.2)
+        with pytest.raises(NumericalDegeneracyError):
+            run_sequence("M_CW", HP, instances, 19, LoopConfig(m=4), num_classes=7)
 
 
 class TestNormBound:
     def test_hand_case_passes(self):
-        deltas = [UpdateInfo(loss=1.0, triggered=True, delta_sq_norm=1.0, tau=1.0),
-                  UpdateInfo(loss=0.5, triggered=True, delta_sq_norm=1.0, tau=1.0)]
-        trace = Trace(initial_norms=[0.0],
-                      outcomes=[InstanceOutcome(mistake=True, updates=2, deltas=deltas,
-                                                w_star_norm=math.sqrt(2.0))])
-        report = check_norm_bound(trace, m=2)
+        records = [make_record(w0=0.0, sum_delta_sq=2.0, w_star=math.sqrt(2.0), updates=2)]
+        report = check_norm_bound(records, m=2)
         assert report.all_passed
         bound = report.instances[0]
         assert bound.rhs == pytest.approx(2.0)
         assert bound.slack == pytest.approx(2.0 - math.sqrt(2.0))
 
     def test_passive_instance_has_zero_slack(self):
-        trace = Trace(initial_norms=[3.0],
-                      outcomes=[InstanceOutcome(mistake=False, updates=0,
-                                                deltas=[], w_star_norm=3.0)])
-        report = check_norm_bound(trace, m=4)
+        records = [make_record(w0=3.0, sum_delta_sq=0.0, w_star=3.0, updates=0)]
+        report = check_norm_bound(records, m=4)
         assert report.all_passed
         assert report.min_slack == 0.0
 
     def test_detects_violation(self):
-        # a checker that cannot fail would prove nothing: feed it a trace
+        # a checker that cannot fail would prove nothing: feed it a record
         # whose final norm exceeds what the recorded deltas allow
-        deltas = [UpdateInfo(loss=1.0, triggered=True, delta_sq_norm=0.01, tau=0.1)]
-        trace = Trace(initial_norms=[1.0],
-                      outcomes=[InstanceOutcome(mistake=True, updates=1, deltas=deltas,
-                                                w_star_norm=5.0)])
-        report = check_norm_bound(trace, m=1)
+        records = [make_record(w0=1.0, sum_delta_sq=0.01, w_star=5.0, updates=1)]
+        report = check_norm_bound(records, m=1)
         assert not report.all_passed
         assert len(report.failures) == 1
         assert report.failures[0].slack < 0.0
@@ -236,28 +283,23 @@ class TestNormBound:
     @pytest.mark.parametrize("m", (1, 4))
     def test_engine_traces_always_pass_binary(self, kind, m):
         instances = separable_instances(60, 6, seed=19, margin=0.05, noise=0.15)
-        _, trace, _ = run_sequence(kind, HP, instances, 6, LoopConfig(m=m))
-        assert check_norm_bound(trace, m).all_passed
+        _, records, _ = run_sequence(kind, HP, instances, 6, LoopConfig(m=m))
+        assert check_norm_bound(records, m).all_passed
 
     @pytest.mark.parametrize("kind", sorted(MULTICLASS_KINDS))
     @pytest.mark.parametrize("m", (1, 4))
     def test_engine_traces_always_pass_multiclass(self, kind, m):
         instances = blob_instances(60, 6, 4, seed=19, spread=2.5)
-        _, trace, _ = run_sequence(kind, HP, instances, 6, LoopConfig(m=m),
-                                   num_classes=4)
-        assert check_norm_bound(trace, m).all_passed
-
-    def test_mismatched_trace_rejected(self):
-        trace = Trace(initial_norms=[0.0, 1.0], outcomes=[])
-        with pytest.raises(ValueError, match="missing"):
-            check_norm_bound(trace, m=1)
+        _, records, _ = run_sequence(kind, HP, instances, 6, LoopConfig(m=m),
+                                     num_classes=4)
+        assert check_norm_bound(records, m).all_passed
 
 
 class TestTraceExport:
     def test_records_chain_and_fields(self):
         instances = separable_instances(30, 4, seed=23, margin=0.05, noise=0.1)
-        _, trace, _ = run_sequence("PA1", HP, instances, 4, LoopConfig(m=2))
-        rows = trace_records(trace, algorithm="PA1", m=2, run=0)
+        _, records, _ = run_sequence("PA1", HP, instances, 4, LoopConfig(m=2))
+        rows = trace_records(records, algorithm="PA1", m=2, run=0)
         assert len(rows) == 30
         for i, row in enumerate(rows):
             assert row["algorithm"] == "PA1"
@@ -271,10 +313,10 @@ class TestTraceExport:
 
     def test_jsonl_round_trip(self):
         instances = separable_instances(12, 4, seed=29, margin=0.05, noise=0.1)
-        _, trace, _ = run_sequence("OGD", HP, instances, 4, LoopConfig(m=3))
+        _, records, _ = run_sequence("OGD", HP, instances, 4, LoopConfig(m=3))
+        rows = trace_records(records, algorithm="OGD", m=3, run=1)
         buf = io.StringIO()
-        write_trace(buf, trace, algorithm="OGD", m=3, run=1)
+        write_trace(buf, rows)
         lines = buf.getvalue().splitlines()
         assert len(lines) == 12
-        parsed = [json.loads(line) for line in lines]
-        assert parsed == trace_records(trace, algorithm="OGD", m=3, run=1)
+        assert [json.loads(line) for line in lines] == rows
