@@ -24,27 +24,12 @@ import math
 
 import numpy as np
 
-from .core import (PASSIVE_EPS, SparseVector, UpdateInfo, cw_alpha, cw_step, downdate,
-                   hinge_loss, ogd_tau, pa1_tau, pa2_tau, pa_tau, passive, predict_linear,
-                   scw1_alpha, scw2_alpha, sigma_x)
+from .core import (PASSIVE_EPS, SparseVector, UpdateInfo, arow_step, cw_alpha, cw_step,
+                   dense_add, downdate, hinge_loss, ogd_tau, pa1_tau, pa2_tau, pa_tau, passive,
+                   predict_linear, romma_coefs, scw1_alpha, scw2_alpha, sigma_x, sparse_add)
 from .errors import ConfigError
 from .numerics import inv_norm_cdf
 from .params import HyperParams
-
-_DEGENERACY_EPS = 1e-12
-
-
-def _sparse_add(w: np.ndarray, x: SparseVector, coef: float) -> float:
-    """w += coef * x on x's support; returns the realized squared change.
-
-    Measured from the committed values rather than coef^2 * ||x||^2 so the
-    reported delta matches the state the audit later re-norms even when the
-    increment is partly absorbed by rounding against large coordinates.
-    """
-    old = w[x.indices]
-    w[x.indices] = old + coef * x.values
-    return float(np.sum((w[x.indices] - old) ** 2))
-
 
 class BinaryLearner:
     """Base: holds the dimension, hyperparameters, and the outer-instance clock t."""
@@ -94,7 +79,7 @@ class Perceptron(FirstOrderLearner):
         mis = y * s <= 0
         if not mis or x.squared_norm() <= PASSIVE_EPS:
             return passive(loss, mis)
-        dsq = _sparse_add(self.w, x, float(y))
+        dsq = sparse_add(self.w, x, float(y))
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=1.0, mispredicted=mis)
 
@@ -116,7 +101,7 @@ class _PABase(FirstOrderLearner):
         if loss <= PASSIVE_EPS or xsq <= PASSIVE_EPS:
             return passive(loss, mis)
         tau = self.tau_rule(loss, xsq, self.hp, self.t)
-        dsq = _sparse_add(self.w, x, tau * y)
+        dsq = sparse_add(self.w, x, tau * y)
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=tau, mispredicted=mis)
 
@@ -199,14 +184,12 @@ class _RommaBase(FirstOrderLearner):
         xsq = x.squared_norm()
         if not triggered or xsq <= PASSIVE_EPS:
             return passive(loss, mis)
-        wsq = float(self.w @ self.w)
-        den = xsq * wsq - s * s
-        if wsq <= _DEGENERACY_EPS or abs(den) < _DEGENERACY_EPS:
-            dsq = _sparse_add(self.w, x, float(y))
+        coefs = romma_coefs(xsq, float(self.w @ self.w), y * s)
+        if coefs is None:
+            dsq = sparse_add(self.w, x, float(y))
             return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                               tau=1.0, mispredicted=mis)
-        c = (xsq * wsq - y * s) / den
-        g = wsq * (1.0 - y * s) / den
+        c, g = coefs
         old = self.w.copy()
         self.w *= c
         self.w[x.indices] += g * y * x.values
@@ -265,7 +248,7 @@ class SOP(BinaryLearner):
         xsq = x.squared_norm()
         if not mis or xsq <= PASSIVE_EPS:
             return passive(loss, mis)
-        dsq = _sparse_add(self.v, x, float(y))
+        dsq = sparse_add(self.v, x, float(y))
         if self._P is not None:
             px = self._P[:, x.indices] @ x.values
             denom = 1.0 + float(px[x.indices] @ x.values)
@@ -295,10 +278,7 @@ class SecondOrderLearner(BinaryLearner):
         """Apply mu += mu_coef * sx and Sigma = new_sigma (already validated by
         core.downdate); returns the squared norm of the mean change."""
         self.sigma = new_sigma
-        new_mu = self.mu + mu_coef * sx
-        dsq = float(np.sum((new_mu - self.mu) ** 2))
-        self.mu = new_mu
-        return dsq
+        return dense_add(self.mu, sx, mu_coef)
 
 
 class CW(SecondOrderLearner):
@@ -346,12 +326,16 @@ class SCW2(CW):
 
 class AROW(SecondOrderLearner):
     """Adaptive regularization of weights: hinge-triggered, with
-    beta = 1/(x^T Sigma x + r), alpha = loss * beta."""
+    beta = 1/(x^T Sigma x + r), alpha = loss * beta, and Sigma shrunk by beta
+    along Sigma x."""
 
     kind = "AROW"
 
     def _r(self, v: float) -> float:
         return self.hp.arow_r
+
+    def _shrink(self, v: float, beta: float) -> float:
+        return beta
 
     def step(self, x, y):
         s = self.score(x)
@@ -362,9 +346,8 @@ class AROW(SecondOrderLearner):
         sx, v = sigma_x(self.sigma, x)
         if v <= PASSIVE_EPS:
             return passive(loss, mis)
-        beta = 1.0 / (v + self._r(v))
-        alpha = loss * beta
-        dsq = self._commit(sx, alpha * y, downdate(self.sigma, sx, beta))
+        alpha, beta = arow_step(loss, v, self._r(v))
+        dsq = self._commit(sx, alpha * y, downdate(self.sigma, sx, self._shrink(v, beta)))
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=alpha, mispredicted=mis)
 
@@ -382,32 +365,22 @@ class NAROW(AROW):
         return self.hp.arow_r
 
 
-class NHERD(SecondOrderLearner):
+class NHERD(AROW):
     """Gaussian herding (full-matrix projection variant).
 
-    Mean moves like AROW with gamma = 1/C; the covariance contracts by the
+    Mean moves like AROW with r = 1/C; the covariance contracts by the
     factor (C^2 v + 2C)/(1 + Cv)^2 on the (Sigma x) direction, which keeps
     Sigma positive definite since that factor times v is 1 - 1/(1+Cv)^2 < 1.
     """
 
     kind = "NHERD"
 
-    def step(self, x, y):
-        s = self.score(x)
-        loss = hinge_loss(y, s)
-        mis = y * s <= 0
-        if loss <= PASSIVE_EPS or x.squared_norm() <= PASSIVE_EPS:
-            return passive(loss, mis)
-        sx, v = sigma_x(self.sigma, x)
-        if v <= PASSIVE_EPS:
-            return passive(loss, mis)
+    def _r(self, v):
+        return 1.0 / self.hp.C
+
+    def _shrink(self, v, beta):
         C = self.hp.C
-        beta = 1.0 / (v + 1.0 / C)
-        alpha = loss * beta
-        factor = (C * C * v + 2.0 * C) / (1.0 + C * v) ** 2
-        dsq = self._commit(sx, alpha * y, downdate(self.sigma, sx, factor))
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
-                          tau=alpha, mispredicted=mis)
+        return (C * C * v + 2.0 * C) / (1.0 + C * v) ** 2
 
 
 class IELLIP(SecondOrderLearner):

@@ -50,7 +50,8 @@ def _parse_overrides(pairs: tuple[str, ...]) -> dict[str, float]:
 
 
 def _apply_config_file(ctx: click.Context, params: dict, path: str) -> None:
-    """Fill in values from a JSON config file; explicit flags win."""
+    """Fill in values from a JSON config file, each converted by its option's
+    click type; explicit flags win."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -64,6 +65,7 @@ def _apply_config_file(ctx: click.Context, params: dict, path: str) -> None:
         if ctx.get_parameter_source(name) == click.core.ParameterSource.COMMANDLINE
     }
     aliases = {"m": "m_list", "format": "fmt", "config": "config_path"}
+    options = {p.name: p for p in ctx.command.params}
     for key, value in raw.items():
         name = key.replace("-", "_")
         name = aliases.get(name, name)
@@ -76,7 +78,10 @@ def _apply_config_file(ctx: click.Context, params: dict, path: str) -> None:
         if name not in params:
             raise ConfigError(f"config file {path}: unknown option {key!r}")
         if name not in from_cli:
-            params[name] = value
+            try:
+                params[name] = options[name].type_cast_value(ctx, value)
+            except (click.BadParameter, TypeError) as exc:
+                raise ConfigError(f"config file {path}: option {key!r}: {exc}") from None
 
 
 @click.group()

@@ -1,5 +1,5 @@
 """Shared domain types, loss functions, linear prediction, and the closed-form
-step sizes that the binary and multiclass catalogs share.
+update rules that the binary and multiclass catalogs share.
 
 Conventions used throughout the package:
 
@@ -119,6 +119,25 @@ def passive(loss: float, mispredicted: bool) -> UpdateInfo:
     return UpdateInfo(loss=loss, triggered=False, mispredicted=mispredicted)
 
 
+def sparse_add(row: np.ndarray, x: SparseVector, coef: float) -> float:
+    """row += coef * x on x's support; returns the realized squared change.
+
+    Measured from the committed values rather than coef^2 * ||x||^2 so the
+    reported delta matches the state the audit later re-norms even when the
+    increment is partly absorbed by rounding against large coordinates.
+    """
+    old = row[x.indices]
+    row[x.indices] = old + coef * x.values
+    return float(np.sum((row[x.indices] - old) ** 2))
+
+
+def dense_add(row: np.ndarray, v: np.ndarray, coef: float) -> float:
+    """row += coef * v in place; returns the realized squared change."""
+    old = row.copy()
+    row += coef * v
+    return float(np.sum((row - old) ** 2))
+
+
 # Step-size rules of the passive-aggressive family (Crammer et al., JMLR
 # 2006) plus OGD: tau from the hinge loss, the squared norm of the update
 # direction (2*||x||^2 for the multiclass difference vector), the
@@ -206,3 +225,25 @@ def downdate(sigma: np.ndarray, sx: np.ndarray, coef: float) -> np.ndarray:
     if np.diagonal(new_sigma).min() <= 0.0:
         raise NumericalDegeneracyError("covariance update lost positive definiteness")
     return new_sigma
+
+
+ROMMA_EPS = 1e-12
+"""Below this squared weight norm or |denominator| ROMMA takes a perceptron step."""
+
+
+def romma_coefs(xsq: float, wsq: float, margin: float) -> tuple[float, float] | None:
+    """ROMMA's (c, g) for w' = c*w + g*x_dir, or None when degenerate.
+
+    margin is the signed margin of the update direction (y*s binary,
+    s_y - s_r multiclass) and xsq its squared norm (2*||x||^2 multiclass).
+    """
+    den = xsq * wsq - margin * margin
+    if wsq <= ROMMA_EPS or abs(den) < ROMMA_EPS:
+        return None
+    return (xsq * wsq - margin) / den, wsq * (1.0 - margin) / den
+
+
+def arow_step(loss: float, v: float, r: float) -> tuple[float, float]:
+    """AROW's (alpha, beta): beta = 1/(v + r), alpha = loss * beta."""
+    beta = 1.0 / (v + r)
+    return loss * beta, beta

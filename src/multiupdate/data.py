@@ -49,9 +49,6 @@ class Dataset:
     def n(self) -> int:
         return len(self.instances)
 
-    def labels(self) -> list[float]:
-        return [y for _, y in self.instances]
-
 
 def _infer_space(labels: set[float]) -> tuple[str, int]:
     # Fewer than two distinct labels parses fine (think single-line round
@@ -206,16 +203,6 @@ def subsample(ds: Dataset, k: int, seed: int) -> Dataset:
     return Dataset(instances=sub, d=ds.d, label_space=space, num_classes=kk,
                    name=f"{ds.name}[{k}]" if ds.name else f"subsample[{k}]",
                    normalized=ds.normalized)
-
-
-def serialize(ds: Dataset) -> str:
-    """Canonical re-serialization (1-based indices); parse(serialize(ds)) round-trips."""
-    lines = []
-    for x, y in ds.instances:
-        label = f"{int(y)}" if float(y).is_integer() else repr(y)
-        entries = " ".join(f"{i + 1}:{v:.17g}" for i, v in x.pairs())
-        lines.append(f"{label} {entries}".rstrip())
-    return "\n".join(lines) + "\n"
 
 
 def parse_text(text: str, name: str = "") -> Dataset:

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (PASSIVE_EPS, SparseVector, UpdateInfo, cw_alpha, cw_step, downdate,
-                   ogd_tau, pa1_tau, pa2_tau, pa_tau, passive, scw1_alpha, scw2_alpha,
-                   sigma_x)
+from .core import (PASSIVE_EPS, SparseVector, UpdateInfo, arow_step, cw_alpha, cw_step,
+                   dense_add, downdate, ogd_tau, pa1_tau, pa2_tau, pa_tau, passive,
+                   romma_coefs, scw1_alpha, scw2_alpha, sigma_x, sparse_add)
 from .errors import ConfigError, DimensionMismatchError
 from .numerics import inv_norm_cdf
 from .params import HyperParams
@@ -35,14 +35,9 @@ def _two_sided_row_update(W, x: SparseVector, y: int, losers, gain: float,
     """Row y gains gain*x, each loser row loses share*x; returns the realized
     squared change of W (measured after float absorption, so the reported
     delta always matches the state the audit later re-norms)."""
-    idx, val = x.indices, x.values
-    old = W[y, idx]
-    W[y, idx] = old + gain * val
-    dsq = float(np.sum((W[y, idx] - old) ** 2))
+    dsq = sparse_add(W[y], x, gain)
     for c in losers:
-        old = W[c, idx]
-        W[c, idx] = old - share * val
-        dsq += float(np.sum((W[c, idx] - old) ** 2))
+        dsq += sparse_add(W[c], x, -share)
     return dsq
 
 
@@ -136,7 +131,7 @@ class _MPerceptronBase(MulticlassLearner):
     """Ultraconservative additive family: on a misprediction the true row
     gains +x and the -x mass is split over a violator set E."""
 
-    def _violators(self, s: np.ndarray, y: int) -> list[int]:
+    def _violators(self, s: np.ndarray, y: int, r: int) -> list[int]:
         raise NotImplementedError
 
     def step(self, x, y):
@@ -145,7 +140,7 @@ class _MPerceptronBase(MulticlassLearner):
         xsq = x.squared_norm()
         if not mis or xsq <= PASSIVE_EPS:
             return passive(loss, mis)
-        violators = self._violators(s, y)
+        violators = self._violators(s, y, r)
         if not violators:
             # Mispredicted purely by tie-break with no class strictly ahead
             # of y (the all-zero start is the one common case). Blame the top
@@ -163,10 +158,8 @@ class MPerceptronM(_MPerceptronBase):
 
     kind = "M_PerceptronM"
 
-    def _violators(self, s, y):
-        masked = s.copy()
-        masked[y] = -np.inf
-        return [int(np.argmax(masked))]
+    def _violators(self, s, y, r):
+        return [r]
 
 
 class MPerceptronU(_MPerceptronBase):
@@ -174,7 +167,7 @@ class MPerceptronU(_MPerceptronBase):
 
     kind = "M_PerceptronU"
 
-    def _violators(self, s, y):
+    def _violators(self, s, y, r):
         return [c for c in range(self.K) if c != y and s[c] >= s[y]]
 
 
@@ -183,7 +176,7 @@ class MPerceptronS(_MPerceptronBase):
 
     kind = "M_PerceptronS"
 
-    def _violators(self, s, y):
+    def _violators(self, s, y, r):
         return [c for c in range(self.K) if c != y and s[c] > s[y]]
 
 
@@ -193,7 +186,6 @@ class _MRommaBase(MulticlassLearner):
     perceptron-style step from the zero state or a vanishing denominator."""
 
     aggressive = False
-    _EPS = 1e-12
 
     def step(self, x, y):
         _, pred, r, margin, loss = self._margin_parts(x, y)
@@ -202,15 +194,12 @@ class _MRommaBase(MulticlassLearner):
         xsq = x.squared_norm()
         if not triggered or xsq <= PASSIVE_EPS:
             return passive(loss, mis)
-        phisq = 2.0 * xsq
-        wsq = float(np.sum(self.W * self.W))
-        den = phisq * wsq - margin * margin
-        if wsq <= self._EPS or abs(den) < self._EPS:
+        coefs = romma_coefs(2.0 * xsq, float(np.sum(self.W * self.W)), margin)
+        if coefs is None:
             dsq = _two_sided_row_update(self.W, x, y, [r], 1.0, 1.0)
             return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                               tau=1.0, mispredicted=mis)
-        c = (phisq * wsq - margin) / den
-        g = wsq * (1.0 - margin) / den
+        c, g = coefs
         old = self.W.copy()
         self.W *= c
         self.W[y, x.indices] += g * x.values
@@ -244,12 +233,7 @@ class _MSecondOrderBase(MulticlassLearner):
         # positivity holds because 2*beta*(x^T Sigma x) = beta*v < 1 for both
         # the AROW and CW coefficient families.
         self.sigma = downdate(self.sigma, sx, rank1_coef)
-        new_y = self.W[y] + alpha * sx
-        new_r = self.W[r] - alpha * sx
-        dsq = float(np.sum((new_y - self.W[y]) ** 2) + np.sum((new_r - self.W[r]) ** 2))
-        self.W[y] = new_y
-        self.W[r] = new_r
-        return dsq
+        return dense_add(self.W[y], sx, alpha) + dense_add(self.W[r], sx, -alpha)
 
 
 class MAROW(_MSecondOrderBase):
@@ -264,8 +248,7 @@ class MAROW(_MSecondOrderBase):
         v = 2.0 * vx
         if v <= PASSIVE_EPS:
             return passive(loss, mis)
-        beta = 1.0 / (v + self.hp.arow_r)
-        alpha = loss * beta
+        alpha, beta = arow_step(loss, v, self.hp.arow_r)
         dsq = self._commit(y, r, sx, alpha, 2.0 * beta)
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=alpha, mispredicted=mis)

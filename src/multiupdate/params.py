@@ -31,8 +31,8 @@ class HyperParams:
     def __post_init__(self):
         positive = ("C", "eta0", "alma_B", "alma_C", "arow_r", "narow_b", "scw_C", "sop_a")
         for name in positive:
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"hyperparameter {name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"hyperparameter {name} must be > 0 and finite")
         if not 0.0 < self.alma_alpha <= 1.0:
             raise ConfigError("alma_alpha must be in (0, 1]")
         if not 0.5 < self.cw_eta < 1.0:

@@ -337,3 +337,29 @@ class TestProperties:
                 assert actual == 0.0
                 assert info.delta_sq_norm == 0.0
         assert triggered > 0, f"{kind} never updated on the noisy stream"
+
+
+def test_sop_inverse_path_matches_solve_path(monkeypatch):
+    # Above _SOLVE_LIMIT SOP keeps a Sherman-Morrison inverse instead of
+    # solving per prediction; raising the limit runs the solve path on the
+    # same d so both can be compared cycle by cycle.
+    from multiupdate.binary import SOP
+
+    d = 70
+    instances = separable_instances(200, d, seed=21, margin=0.05, noise=0.2)
+    inverse = make_binary("SOP", d, HP)
+    monkeypatch.setattr(SOP, "_SOLVE_LIMIT", d)
+    solve = make_binary("SOP", d, HP)
+    assert inverse._P is not None and solve._P is None
+    updates = 0
+    for x, y in instances:
+        inverse.begin_instance()
+        solve.begin_instance()
+        for _ in range(3):
+            a, b = inverse.step(x, y), solve.step(x, y)
+            assert (a.triggered, a.mispredicted) == (b.triggered, b.mispredicted)
+            if not a.triggered:
+                break
+            updates += 1
+        assert np.max(np.abs(inverse._effective_w() - solve._effective_w())) <= 1e-12
+    assert updates > 50

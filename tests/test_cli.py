@@ -164,6 +164,27 @@ class TestConfigFile:
         assert rc == 1
         assert "unknown option" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"runs": "abc"}, "option 'runs': 'abc' is not a valid integer"),
+        ({"algos": 5}, "unknown algorithm '5'"),
+    ])
+    def test_config_value_of_wrong_type(self, binary_file, tmp_path, capsys, entry, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        rc = run_cli("--data", binary_file, "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("error:") == 1 and message in err
+        assert "Traceback" not in err
+
+    def test_config_flag_takes_bool_type(self, binary_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"audit_theorem1": "no"}))
+        rc = run_cli("--data", binary_file, "--config", str(cfg),
+                     "--algos", "PA", "--m", "1", "--runs", "1")
+        assert rc == 0
+        assert "norm-bound audit" not in capsys.readouterr().err
+
     def test_config_not_json(self, binary_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json {")
@@ -240,6 +261,11 @@ class TestExitCodes:
         rc = run_cli("--data", binary_file, "--set", "C=-1", "--runs", "1")
         assert rc == 1
         assert "must be > 0" in capsys.readouterr().err
+
+    def test_infinite_set_value(self, binary_file, capsys):
+        rc = run_cli("--data", binary_file, "--set", "eta0=inf", "--runs", "1")
+        assert rc == 1
+        assert "eta0 must be > 0 and finite" in capsys.readouterr().err
 
     def test_unknown_set_name(self, binary_file, capsys):
         rc = run_cli("--data", binary_file, "--set", "zeta=1", "--runs", "1")

@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 from multiupdate.data import (
     BINARY_SPACE,
     MULTICLASS_SPACE,
-    Dataset,
     as_learning_instances,
     load_dataset,
     normalize_labels,
     parse_sparse_text,
     parse_text,
     permute,
-    serialize,
     subsample,
 )
 from multiupdate.errors import DataError
@@ -155,35 +153,35 @@ class TestNormalization:
     def test_zero_one_to_pm_one(self):
         ds = parse_text("0 1:1\n1 1:2\n0 2:1\n")
         norm = normalize_labels(ds)
-        assert norm.labels() == [-1.0, 1.0, -1.0]
+        assert [y for _, y in norm.instances] == [-1.0, 1.0, -1.0]
         assert norm.normalized
 
     def test_one_two_to_pm_one(self):
         ds = parse_text("1 1:1\n2 1:2\n")
         norm = normalize_labels(ds)
-        assert norm.labels() == [-1.0, 1.0]
+        assert [y for _, y in norm.instances] == [-1.0, 1.0]
 
     def test_pm_one_unchanged(self):
         ds = parse_text("+1 1:1\n-1 1:2\n")
         norm = normalize_labels(ds)
-        assert norm.labels() == [1.0, -1.0]
+        assert [y for _, y in norm.instances] == [1.0, -1.0]
         assert norm.instances is ds.instances  # no copy when already canonical
 
     def test_multiclass_one_based_to_zero_based(self):
         lines = "".join(f"{c} 1:{c}\n" for c in range(1, 8))
         norm = normalize_labels(parse_text(lines))
-        assert norm.labels() == [float(i) for i in range(7)]
+        assert [y for _, y in norm.instances] == [float(i) for i in range(7)]
         assert norm.num_classes == 7
 
     def test_multiclass_sorted_raw_order(self):
         ds = parse_text("30 1:1\n10 1:2\n20 1:3\n")
         norm = normalize_labels(ds)
-        assert norm.labels() == [2.0, 0.0, 1.0]
+        assert [y for _, y in norm.instances] == [2.0, 0.0, 1.0]
 
     def test_idempotent(self):
         ds = normalize_labels(parse_text("0 1:1\n1 1:2\n"))
         again = normalize_labels(ds)
-        assert again.labels() == ds.labels()
+        assert [y for _, y in again.instances] == [y for _, y in ds.instances]
 
     def test_single_label_rejected_at_normalize(self):
         # parsing alone accepts it (round-trip convenience)...
@@ -222,7 +220,7 @@ class TestSubsample:
         ds = self._ds(20)
         sub = subsample(ds, 20, seed=3)
         assert sub.n == 20
-        assert sorted(sub.labels()) == sorted(ds.labels())
+        assert sorted(y for _, y in sub.instances) == sorted(y for _, y in ds.instances)
         perm = permute(20, 3)
         assert sub.instances == tuple(ds.instances[i] for i in perm)
 
@@ -247,32 +245,9 @@ class TestSubsample:
         ds = parse_text(lines)
         for seed in range(12):
             sub = subsample(ds, 5, seed=seed)
-            assert {0.0, 1.0, 2.0} == set(sub.labels()), f"seed {seed}"
+            assert {0.0, 1.0, 2.0} == {y for _, y in sub.instances}, f"seed {seed}"
             assert sub.n == 5
 
     def test_name_tagged(self):
         sub = subsample(self._ds(30), 10, seed=1)
         assert sub.name == "synth[10]"
-
-
-class TestSerialize:
-    def test_round_trip(self):
-        text = "+1 1:0.5 3:-2.25\n-1 2:1\n+1 1:1e-05\n-1 4:3\n"
-        ds = parse_text(text)
-        again = parse_text(serialize(ds))
-        assert again.instances == ds.instances
-        assert again.d == ds.d
-
-    def test_integer_labels_stay_integers(self):
-        out = serialize(parse_text("1 1:1\n2 1:2\n"))
-        assert out.splitlines()[0].startswith("1 ")
-        assert out.splitlines()[1].startswith("2 ")
-
-    def test_precision_survives(self):
-        val = 0.1 + 0.2  # 0.30000000000000004
-        ds = Dataset(
-            instances=((parse_text(f"+1 1:{val!r}\n-1 1:1\n").instances[0][0], 1.0),
-                       (parse_text("-1 2:1\n+1 1:1\n").instances[0][0], -1.0)),
-            d=2, label_space=BINARY_SPACE, num_classes=2)
-        again = parse_text(serialize(ds))
-        assert again.instances[0][0].values[0] == val

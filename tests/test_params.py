@@ -85,3 +85,10 @@ def test_boundary_values_accepted():
     # cw_eta strictly inside its interval
     assert HyperParams(cw_eta=0.51).cw_eta == 0.51
     assert HyperParams(cw_eta=0.99).cw_eta == 0.99
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(HyperParams)])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_rejected(name, value):
+    with pytest.raises(ConfigError, match=rf"\b{name}\b"):
+        HyperParams().replace(**{name: value})
