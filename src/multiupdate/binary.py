@@ -223,6 +223,7 @@ class SOP(BinaryLearner):
     def __init__(self, d, hp):
         super().__init__(d, hp)
         self.v = np.zeros(d)
+        self._w = None
         if d <= self._SOLVE_LIMIT:
             self._S = np.zeros((d, d))
             self._P = None
@@ -231,9 +232,13 @@ class SOP(BinaryLearner):
             self._P = np.eye(d) / hp.sop_a
 
     def _effective_w(self) -> np.ndarray:
-        if self._P is not None:
-            return self._P @ self.v
-        return np.linalg.solve(self._S + self.hp.sop_a * np.eye(self.d), self.v)
+        """w = (S + a*I)^-1 v, kept until the next update changes v and S."""
+        if self._w is None:
+            if self._P is not None:
+                self._w = self._P @ self.v
+            else:
+                self._w = np.linalg.solve(self._S + self.hp.sop_a * np.eye(self.d), self.v)
+        return self._w
 
     def score(self, x):
         return predict_linear(self._effective_w(), x)
@@ -249,6 +254,7 @@ class SOP(BinaryLearner):
         if not mis or xsq <= PASSIVE_EPS:
             return passive(loss, mis)
         dsq = sparse_add(self.v, x, float(y))
+        self._w = None
         if self._P is not None:
             px = self._P[:, x.indices] @ x.values
             denom = 1.0 + float(px[x.indices] @ x.values)
@@ -273,12 +279,6 @@ class SecondOrderLearner(BinaryLearner):
 
     def primary_norm(self):
         return float(np.linalg.norm(self.mu))
-
-    def _commit(self, sx: np.ndarray, mu_coef: float, new_sigma: np.ndarray) -> float:
-        """Apply mu += mu_coef * sx and Sigma = new_sigma (already validated by
-        core.downdate); returns the squared norm of the mean change."""
-        self.sigma = new_sigma
-        return dense_add(self.mu, sx, mu_coef)
 
 
 class CW(SecondOrderLearner):
@@ -305,7 +305,8 @@ class CW(SecondOrderLearner):
         loss, alpha, beta = cw_step(self.alpha_rule, y * s, v, self._phi, self.hp)
         if alpha <= 0.0:
             return passive(loss, mis)
-        dsq = self._commit(sx, alpha * y, downdate(self.sigma, sx, beta))
+        downdate(self.sigma, sx, beta)
+        dsq = dense_add(self.mu, sx, alpha * y)
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=alpha, mispredicted=mis)
 
@@ -347,7 +348,8 @@ class AROW(SecondOrderLearner):
         if v <= PASSIVE_EPS:
             return passive(loss, mis)
         alpha, beta = arow_step(loss, v, self._r(v))
-        dsq = self._commit(sx, alpha * y, downdate(self.sigma, sx, self._shrink(v, beta)))
+        downdate(self.sigma, sx, self._shrink(v, beta))
+        dsq = dense_add(self.mu, sx, alpha * y)
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=alpha, mispredicted=mis)
 
@@ -404,8 +406,9 @@ class IELLIP(SecondOrderLearner):
         root_v = math.sqrt(v)
         alpha = (1.0 - y * s) / root_v
         sg = y * sx / root_v                      # Sigma @ g
-        new_sigma = self.hp.iellip_b * downdate(self.sigma, sg, self.hp.iellip_c)
-        dsq = self._commit(sg, alpha, new_sigma)
+        downdate(self.sigma, sg, self.hp.iellip_c)
+        self.sigma *= self.hp.iellip_b
+        dsq = dense_add(self.mu, sg, alpha)
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=alpha, mispredicted=mis)
 

@@ -78,6 +78,12 @@ def _apply_config_file(ctx: click.Context, params: dict, path: str) -> None:
         if name not in params:
             raise ConfigError(f"config file {path}: unknown option {key!r}")
         if name not in from_cli:
+            # click's INT truncates a number with int(); the flag would refuse it
+            if options[name].type is click.INT and (
+                    isinstance(value, bool)
+                    or isinstance(value, float) and not value.is_integer()):
+                raise ConfigError(
+                    f"config file {path}: option {key!r}: {value!r} is not a valid integer")
             try:
                 params[name] = options[name].type_cast_value(ctx, value)
             except (click.BadParameter, TypeError) as exc:

@@ -26,9 +26,10 @@ class SparseVector:
 
     Indices are 0-based, strictly increasing; explicit zeros are dropped at
     construction so the stored entries are exactly the nonzero support.
+    max_index is the largest stored index, or -1 for an all-zero vector.
     """
 
-    __slots__ = ("indices", "values", "_sq_norm")
+    __slots__ = ("indices", "values", "max_index", "_sq_norm")
 
     def __init__(self, indices, values):
         idx = np.asarray(indices, dtype=np.int64)
@@ -46,15 +47,11 @@ class SparseVector:
             val = val[keep]
         self.indices = idx
         self.values = val
+        self.max_index = int(idx[-1]) if idx.size else -1
         self._sq_norm = float(val @ val)
 
     def squared_norm(self) -> float:
         return self._sq_norm
-
-    @property
-    def max_index(self) -> int:
-        """Largest 0-based index, or -1 for an all-zero vector."""
-        return int(self.indices[-1]) if self.indices.size else -1
 
     def pairs(self):
         """Entries as (index, value) tuples, 0-based."""
@@ -90,7 +87,7 @@ def hinge_loss(y: int, score: float) -> float:
     return max(0.0, 1.0 - y * score)
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateInfo:
     """Record of one predict/maybe-update cycle.
 
@@ -127,15 +124,18 @@ def sparse_add(row: np.ndarray, x: SparseVector, coef: float) -> float:
     increment is partly absorbed by rounding against large coordinates.
     """
     old = row[x.indices]
-    row[x.indices] = old + coef * x.values
-    return float(np.sum((row[x.indices] - old) ** 2))
+    new = old + coef * x.values
+    row[x.indices] = new
+    d = new - old
+    return float(np.add.reduce(d * d))
 
 
 def dense_add(row: np.ndarray, v: np.ndarray, coef: float) -> float:
     """row += coef * v in place; returns the realized squared change."""
-    old = row.copy()
-    row += coef * v
-    return float(np.sum((row - old) ** 2))
+    new = row + coef * v
+    d = new - row
+    row[...] = new
+    return float(np.add.reduce(d * d))
 
 
 # Step-size rules of the passive-aggressive family (Crammer et al., JMLR
@@ -210,21 +210,30 @@ def cw_step(alpha_rule, m: float, v: float, phi: float,
 
 
 def sigma_x(sigma: np.ndarray, x: SparseVector) -> tuple[np.ndarray, float]:
-    """(Sigma @ x, x^T Sigma x) without densifying x."""
-    sx = sigma[:, x.indices] @ x.values
+    """(Sigma @ x, x^T Sigma x) without densifying x.
+
+    The gathered rows, transposed, equal sigma[:, x.indices] because Sigma
+    stays exactly symmetric (it starts at I and every downdate and scale is
+    symmetric in IEEE arithmetic), and they have the same F-ordered layout,
+    so the product takes the same BLAS path and rounds the same way. A
+    C-ordered column gather would round differently.
+    """
+    sx = sigma.take(x.indices, axis=0).T @ x.values
     return sx, float(sx[x.indices] @ x.values)
 
 
-def downdate(sigma: np.ndarray, sx: np.ndarray, coef: float) -> np.ndarray:
-    """Sigma - coef * (Sigma x)(Sigma x)^T, validated before anyone commits it.
+def downdate(sigma: np.ndarray, sx: np.ndarray, coef: float) -> None:
+    """Sigma -= coef * (Sigma x)(Sigma x)^T in place, validated before it is applied.
 
-    A non-positive diagonal means the closed form degenerated numerically;
-    the caller's state is left untouched and NumericalDegeneracyError raised.
+    A non-positive diagonal after the update means the closed form
+    degenerated numerically: NumericalDegeneracyError is raised and Sigma is
+    left untouched.
     """
-    new_sigma = sigma - coef * np.outer(sx, sx)
-    if np.diagonal(new_sigma).min() <= 0.0:
+    upd = np.multiply.outer(sx, sx)
+    upd *= coef
+    if (sigma.diagonal() - upd.diagonal()).min() <= 0.0:
         raise NumericalDegeneracyError("covariance update lost positive definiteness")
-    return new_sigma
+    sigma -= upd
 
 
 ROMMA_EPS = 1e-12

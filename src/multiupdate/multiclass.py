@@ -63,7 +63,8 @@ class MulticlassLearner:
             )
         if not x.indices.size:
             return np.zeros(self.K)
-        return self.W[:, x.indices] @ x.values
+        # Same F-ordered operand as W[:, x.indices], so the same rounding.
+        return self.W.T.take(x.indices, axis=0).T @ x.values
 
     def predict(self, x: SparseVector) -> int:
         """Max-score class; ties go to the lowest index (np.argmax's rule)."""
@@ -232,7 +233,7 @@ class _MSecondOrderBase(MulticlassLearner):
         # rank1_coef arrives on the shared-Sigma scale (2x the binary beta);
         # positivity holds because 2*beta*(x^T Sigma x) = beta*v < 1 for both
         # the AROW and CW coefficient families.
-        self.sigma = downdate(self.sigma, sx, rank1_coef)
+        downdate(self.sigma, sx, rank1_coef)
         return dense_add(self.W[y], sx, alpha) + dense_add(self.W[r], sx, -alpha)
 
 

@@ -311,7 +311,8 @@ class TestProperties:
         learner, steps = drive(kind, _noisy_stream(5000, d), d, hp=hp)
         assert sum(info.triggered for _, info, _ in steps) >= 1000
         sig = learner.sigma
-        assert np.allclose(sig, sig.T, atol=1e-10)
+        # exact, not approximate: core.sigma_x gathers rows in place of columns
+        assert np.array_equal(sig, sig.T)
         np.linalg.cholesky(sig)  # raises LinAlgError if not positive definite
 
     def test_sop_regularized_gram_positive_definite(self):
@@ -337,6 +338,22 @@ class TestProperties:
                 assert actual == 0.0
                 assert info.delta_sq_norm == 0.0
         assert triggered > 0, f"{kind} never updated on the noisy stream"
+
+
+def test_sop_cached_w_matches_fresh_solve():
+    # SOP keeps its effective w between updates; after every cycle the kept
+    # w must be exactly what solving the current state gives
+    d = 8
+    instances = separable_instances(60, d, seed=4, margin=0.05, noise=0.2)
+    learner = make_binary("SOP", d, HP)
+    updates = 0
+    for x, y in instances:
+        learner.begin_instance()
+        for _ in range(2):
+            updates += learner.step(x, y).triggered
+            fresh = np.linalg.solve(learner._S + HP.sop_a * np.eye(d), learner.v)
+            assert np.array_equal(learner._effective_w(), fresh)
+    assert updates > 5
 
 
 def test_sop_inverse_path_matches_solve_path(monkeypatch):

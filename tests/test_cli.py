@@ -167,6 +167,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("entry, message", [
         ({"runs": "abc"}, "option 'runs': 'abc' is not a valid integer"),
         ({"algos": 5}, "unknown algorithm '5'"),
+        ({"runs": 2.7}, "option 'runs': 2.7 is not a valid integer"),
+        ({"seed": True}, "option 'seed': True is not a valid integer"),
     ])
     def test_config_value_of_wrong_type(self, binary_file, tmp_path, capsys, entry, message):
         cfg = tmp_path / "cfg.json"
@@ -176,6 +178,13 @@ class TestConfigFile:
         assert rc == 1
         assert err.count("error:") == 1 and message in err
         assert "Traceback" not in err
+
+    def test_config_integral_float_is_an_integer(self, binary_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"runs": 2.0}))
+        rc = run_cli("--data", binary_file, "--config", str(cfg), "--algos", "PA", "--m", "1")
+        assert rc == 0
+        assert "runs: 2" in capsys.readouterr().out
 
     def test_config_flag_takes_bool_type(self, binary_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiupdate.core import (PASSIVE_EPS, SparseVector, UpdateInfo, hinge_loss,
-                              predict_linear)
-from multiupdate.errors import DimensionMismatchError
+from multiupdate.core import (PASSIVE_EPS, SparseVector, UpdateInfo, dense_add, downdate,
+                              hinge_loss, predict_linear, sparse_add)
+from multiupdate.errors import DimensionMismatchError, NumericalDegeneracyError
 
 
 class TestSparseVector:
@@ -104,3 +104,47 @@ class TestUpdateInfo:
 
     def test_eps_is_small(self):
         assert 0.0 < PASSIVE_EPS <= 1e-12
+
+
+class TestRowAdds:
+    # reference forms that re-read the committed row, bit for bit; the large
+    # coordinates absorb part of each increment, so the realized change is
+    # not coef^2 * ||x||^2
+    def test_sparse_add_matches_reference(self):
+        rng = np.random.default_rng(5)
+        row = rng.normal(size=12) * 1e8
+        x = SparseVector([1, 4, 9], rng.normal(size=3).tolist())
+        ref = row.copy()
+        old = ref[x.indices]
+        ref[x.indices] = old + 0.37 * x.values
+        expected = float(np.sum((ref[x.indices] - old) ** 2))
+        assert sparse_add(row, x, 0.37) == expected
+        assert np.array_equal(row, ref)
+
+    def test_dense_add_matches_reference(self):
+        rng = np.random.default_rng(6)
+        row = rng.normal(size=12) * 1e8
+        v = rng.normal(size=12)
+        ref = row.copy()
+        ref += -0.61 * v
+        expected = float(np.sum((ref - row) ** 2))
+        assert dense_add(row, v, -0.61) == expected
+        assert np.array_equal(row, ref)
+
+
+class TestDowndate:
+    def test_in_place_matches_outer_product_form(self):
+        # the reference form that built a new matrix, bit for bit
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(6, 6))
+        sigma = a @ a.T + 6.0 * np.eye(6)
+        sx = 0.3 * rng.normal(size=6)
+        expected = sigma - 0.25 * np.outer(sx, sx)
+        assert downdate(sigma, sx, 0.25) is None
+        assert np.array_equal(sigma, expected)
+
+    def test_rejected_update_leaves_sigma_untouched(self):
+        sigma = np.eye(2)
+        with pytest.raises(NumericalDegeneracyError):
+            downdate(sigma, np.array([1.0, 0.0]), 2.0)
+        assert np.array_equal(sigma, np.eye(2))

@@ -247,6 +247,24 @@ class TestRunSequence:
         with pytest.raises(NumericalDegeneracyError, match="positive definiteness"):
             process_instance(learner, vec((1, 1.0), (2, -1.0)), 1, LoopConfig(m=2))
 
+    @pytest.mark.parametrize("kind", ("CW", "SCW1", "SCW2", "AROW", "NAROW", "NHERD", "IELLIP",
+                                      "M_CW", "M_SCW1", "M_SCW2", "M_AROW"))
+    def test_rejected_downdate_leaves_state_untouched(self, kind):
+        # Sigma = [[1, 10], [10, 1]] and x = e1 give Sigma x = (1, 10) and a
+        # positive x^T Sigma x = 1, so the step gets as far as the in-place
+        # downdate, whose precheck sees Sigma_22 going non-positive
+        multiclass = kind.startswith("M_")
+        learner = (make_multiclass(kind, 3, 2, HP) if multiclass
+                   else make_binary(kind, 2, HP))
+        learner.sigma = np.array([[1.0, 10.0], [10.0, 1.0]])
+        mean = learner.W if multiclass else learner.mu
+        sigma_before, mean_before = learner.sigma.tobytes(), mean.tobytes()
+        learner.begin_instance()
+        with pytest.raises(NumericalDegeneracyError, match="positive definiteness"):
+            learner.step(vec((1, 1.0)), 1)
+        assert learner.sigma.tobytes() == sigma_before
+        assert mean.tobytes() == mean_before
+
     def test_degenerate_multiclass_sequence_raises_typed_error(self):
         # heavily overlapping blobs drive M_CW's shared covariance indefinite
         instances = blob_instances(200, 19, 7, seed=6, spread=0.2)

@@ -248,7 +248,8 @@ class TestInvariants:
                 updates += 1
         assert updates > 0
         sig = learner.sigma
-        assert np.allclose(sig, sig.T, atol=1e-10)
+        # exact, not approximate: core.sigma_x gathers rows in place of columns
+        assert np.array_equal(sig, sig.T)
         np.linalg.cholesky(sig)
 
     @pytest.mark.parametrize("kind", sorted(MULTICLASS_KINDS))
