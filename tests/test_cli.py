@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from conftest import blob_instances, instances_to_text, separable_instances
+from conftest import INDEFINITE_LINES, blob_instances, instances_to_text, separable_instances
 from multiupdate.cli import main
 from multiupdate.engine import BoundReport, InstanceBound
 
@@ -234,20 +234,36 @@ class TestExitCodes:
         assert captured.out == ""
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_degenerate_covariance_exits_4(self, tmp_path, monkeypatch, capsys, threads):
-        # heavily overlapping blobs drive M_CW's shared covariance indefinite;
-        # the typed error must reach the exit code from a pool worker too
-        path = tmp_path / "overlap.txt"
-        path.write_text(instances_to_text(blob_instances(200, 19, 7, seed=6, spread=0.2),
-                                          multiclass=True))
+    def test_degenerate_covariance_exits_4(self, tmp_path, monkeypatch, capsys, threads,
+                                           indefinite_m_cw):
+        # M_CW starting from an indefinite Sigma stops on its first step; the
+        # typed error must reach the exit code from a pool worker too
+        path = tmp_path / "indefinite.txt"
+        path.write_text(INDEFINITE_LINES)
         monkeypatch.setenv("BENCH_THREADS", threads)
         rc = run_cli("--data", str(path), "--algos", "M_CW", "--m", "1,4,16",
                      "--runs", "2", "--format", "csv")
         err = capsys.readouterr().err.splitlines()
         assert rc == 4
         assert len(err) == 1
-        assert err[0].startswith("error: M_CW m=4 run=0: ")
+        assert err[0].startswith("error: M_CW m=1 run=0: ")
         assert "positive definiteness" in err[0]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_rounding_level_negative_confidence_exits_0(self, tmp_path, monkeypatch, capsys,
+                                                         threads):
+        # heavily overlapping blobs drive x^T Sigma x of the shared-covariance
+        # kinds to about -2e-22 at m=4; that cycle is passive, not an error
+        path = tmp_path / "overlap.txt"
+        path.write_text(instances_to_text(blob_instances(200, 19, 7, seed=6, spread=0.2),
+                                          multiclass=True))
+        monkeypatch.setenv("BENCH_THREADS", threads)
+        rc = run_cli("--data", str(path), "--algos", "M_CW,M_SCW1,M_SCW2", "--m", "1,4,16",
+                     "--runs", "2", "--format", "csv")
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) == 1 + 3 * 3 * 2  # header + 2 metrics per cell
 
     def test_bad_m_list(self, binary_file):
         assert run_cli("--data", binary_file, "--m", "1,two", "--runs", "1") == 1

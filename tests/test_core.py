@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiupdate.core import (PASSIVE_EPS, SparseVector, UpdateInfo, dense_add, downdate,
-                              hinge_loss, predict_linear, sparse_add)
+from multiupdate.core import (PASSIVE_EPS, SparseVector, UpdateInfo, cw_alpha, cw_step,
+                              dense_add, downdate, hinge_loss, predict_linear, sparse_add)
 from multiupdate.errors import DimensionMismatchError, NumericalDegeneracyError
+from multiupdate.params import HyperParams
 
 
 class TestSparseVector:
@@ -148,3 +149,15 @@ class TestDowndate:
         with pytest.raises(NumericalDegeneracyError):
             downdate(sigma, np.array([1.0, 0.0]), 2.0)
         assert np.array_equal(sigma, np.eye(2))
+
+
+class TestCwStep:
+    @pytest.mark.parametrize("v", [-1.99e-22, -PASSIVE_EPS, -0.0, 0.0])
+    def test_rounding_level_confidence_is_passive(self, v):
+        # |v| <= PASSIVE_EPS: no step, and the loss is that of v = 0
+        assert cw_step(cw_alpha, -0.5, v, 1.0, HyperParams()) == (0.5, 0.0, 0.0)
+
+    @pytest.mark.parametrize("v", [-2.0 * PASSIVE_EPS, -1.0, float("nan")])
+    def test_negative_or_nan_confidence_raises(self, v):
+        with pytest.raises(NumericalDegeneracyError, match="positive definiteness"):
+            cw_step(cw_alpha, -0.5, v, 1.0, HyperParams())

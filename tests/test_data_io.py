@@ -4,13 +4,17 @@ from __future__ import annotations
 import gzip
 import io
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multiupdate import data
+from multiupdate.core import SparseVector
 from multiupdate.data import (
     BINARY_SPACE,
+    CHUNK_LINES,
     MULTICLASS_SPACE,
     as_learning_instances,
     load_dataset,
@@ -147,6 +151,137 @@ class TestParsing:
         ds = parse_text("+1 1:1e-3 2:-2.5E2\n-1 1:1\n")
         x, _ = ds.instances[0]
         assert list(x.pairs()) == [(0, 1e-3), (1, -250.0)]
+
+
+# A parsed file is one (label, [(1-based index, value), ...], line ending,
+# filler lines before it, trailing comment?) per row.
+_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                   st.floats(min_value=-1e100, max_value=1e100, allow_nan=False))
+_ROW = st.tuples(
+    st.sampled_from([-1.0, 1.0, 2.0, 3.0]),
+    # unique_by keeps the draw order, so indices come out shuffled
+    st.lists(st.tuples(st.integers(1, 40), _VALUE), unique_by=lambda p: p[0], max_size=8),
+    st.sampled_from(["\n", "\r\n"]),
+    st.sampled_from(["", "\n", "# comment line\n", "  \r\n"]),
+    st.booleans(),
+)
+
+
+def _render(rows) -> bytes:
+    out = []
+    for label, pairs, end, filler, comment in rows:
+        feats = "".join(f" {i}:{v!r}" for i, v in pairs)
+        out.append(f"{filler}{label!r}{feats}{'  # trailing' if comment else ''}{end}")
+    return "".join(out).encode()
+
+
+def _reference(rows):
+    """The parse, built row by row through the validating constructor."""
+    instances = []
+    for label, pairs, *_ in rows:
+        ordered = sorted(pairs)
+        x = SparseVector([i - 1 for i, _ in ordered], [v for _, v in ordered])
+        instances.append((x, label))
+    d = max([i for _, pairs, *_ in rows for i, _ in pairs] + [1])
+    k = len({y for _, y in instances})
+    return instances, d, BINARY_SPACE if k <= 2 else MULTICLASS_SPACE, max(k, 2)
+
+
+def _row_bits(x: SparseVector):
+    return (x.indices.dtype, x.indices.tobytes(), x.values.dtype, x.values.tobytes(),
+            x.squared_norm().hex(), x.max_index)
+
+
+def _assert_parses_like_reference(blob: bytes, rows):
+    ds = parse_sparse_text(io.BytesIO(blob), name="p")
+    instances, d, space, k = _reference(rows)
+    assert ds.n == len(instances)
+    for (got, gy), (want, wy) in zip(ds.instances, instances):
+        assert _row_bits(got) == _row_bits(want)
+        assert repr(gy) == repr(wy)
+    assert (ds.d, ds.label_space, ds.num_classes) == (d, space, k)
+
+
+class TestBulkParse:
+    @given(rows=st.lists(_ROW, min_size=1, max_size=24),
+           chunk=st.sampled_from([1, 2, 3, 5, 8, CHUNK_LINES]),
+           gz=st.booleans(), where=st.integers(0, 24))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_row_by_row_reference(self, rows, chunk, gz, where):
+        # every file also holds an empty row and an explicit zero at the
+        # highest index, which counts toward d but is not stored
+        top = 1 + max((i for _, pairs, *_ in rows for i, _ in pairs), default=0)
+        rows = list(rows)
+        rows.insert(where % (len(rows) + 1), (1.0, [], "\n", "", False))
+        rows.insert(where % (len(rows) + 1), (-1.0, [(top + 1, 0.0), (top, 0.5)], "\r\n", "", True))
+        blob = _render(rows)
+        if gz:
+            blob = gzip.compress(blob)
+        with mock.patch.object(data, "CHUNK_LINES", chunk):
+            _assert_parses_like_reference(blob, rows)
+
+    @pytest.mark.parametrize("n_rows", [CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1,
+                                        2 * CHUNK_LINES + 3])
+    def test_row_counts_straddling_the_chunk_size(self, n_rows):
+        # every 7th row has a comment line before it, so lines and rows
+        # cross the chunk boundary at different places
+        rows = [(float(r % 3), [(1 + (5 * r + j) % 11, float((r * j) % 4) - 1.5)
+                                for j in range(r % 5)][::-1],
+                 "\r\n" if r % 2 else "\n", "# c\n" if r % 7 == 0 else "", r % 3 == 0)
+                for r in range(n_rows)]
+        rows = [(y, list(dict(pairs).items()), *rest) for y, pairs, *rest in rows]
+        _assert_parses_like_reference(gzip.compress(_render(rows)), rows)
+
+
+# One bad line of each DataError class, with today's message for it.
+_BAD_LINES = [
+    ("pos 1:1", "bad label 'pos'"),
+    ("nan 1:1", "non-finite label 'nan'"),
+    ("+1 1:1 oops", "malformed pair 'oops' (expected idx:val)"),
+    ("+1 1:abc", "non-numeric pair '1:abc'"),
+    # one colon too many and one too few: a naive split would pair 1:2 and 3:4
+    ("+1 1:2:3 4", "non-numeric pair '1:2:3'"),
+    ("+1 2:1 0:1", "index 0 is not 1-based positive"),
+    ("+1 2:1 2:3", "duplicate index 2"),
+    ("+1 4:1 1:2 4:9", "duplicate index 4"),
+    ("+1 1:1 2:-inf", "non-finite feature value or squared norm (2:-inf)"),
+    ("+1 1:1e154 2:1e154 3:1e154",
+     "non-finite feature value or squared norm (the sum of squares overflows)"),
+]
+
+
+class TestErrorLocation:
+    @pytest.mark.parametrize("line", [1, CHUNK_LINES, CHUNK_LINES + 1],
+                             ids=["first-line", "chunk-end", "next-chunk-start"])
+    @pytest.mark.parametrize("bad, message", _BAD_LINES, ids=[m for _, m in _BAD_LINES])
+    def test_first_bad_line_named_across_chunks(self, bad, message, line):
+        # a second bad line further on, in the same chunk or the next, must
+        # not be the one reported
+        lines = ["+1 1:0.5 3:-1" if i % 2 else "-1 2:1" for i in range(CHUNK_LINES + 4)]
+        lines[line - 1] = bad
+        lines[CHUNK_LINES + 2] = "-1 0:1"
+        with pytest.raises(DataError) as err:
+            parse_text("\n".join(lines) + "\n", name="f")
+        assert str(err.value) == f"f:{line}: {message}"
+
+
+class TestSharedBuffers:
+    def test_row_values_are_read_only(self):
+        # a write through one row's view would change every later run
+        ds = parse_text("+1 1:0.5 3:-2\n-1 2:1\n")
+        x, _ = ds.instances[0]
+        with pytest.raises(ValueError, match="read-only"):
+            x.values[0] = 1.0
+
+    def test_rows_share_one_buffer_per_chunk(self):
+        # no per-row copies: every row of a chunk is a view into the same
+        # index and value buffers
+        n = 2 * CHUNK_LINES + 5
+        ds = parse_text("".join(f"{i % 2} {1 + i % 3}:{i + 1} 7:0.5\n" for i in range(n)))
+        for field in ("indices", "values"):
+            bases = {id(getattr(x, field).base) for x, _ in ds.instances}
+            assert len(bases) == 3
+            assert all(getattr(x, field).base is not None for x, _ in ds.instances)
 
 
 class TestNormalization:

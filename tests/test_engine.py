@@ -11,6 +11,7 @@ import pytest
 
 from multiupdate.binary import BINARY_KINDS, make_binary
 from multiupdate.core import SparseVector
+from multiupdate.data import parse_text
 from multiupdate.engine import (
     CountingMode,
     InstanceRecord,
@@ -25,7 +26,7 @@ from multiupdate.errors import DataError, NumericalDegeneracyError
 from multiupdate.multiclass import MULTICLASS_KINDS, make_multiclass
 from multiupdate.params import HyperParams
 
-from conftest import blob_instances, separable_instances
+from conftest import INDEFINITE_LINES, blob_instances, separable_instances
 
 HP = HyperParams()
 
@@ -265,11 +266,11 @@ class TestRunSequence:
         assert learner.sigma.tobytes() == sigma_before
         assert mean.tobytes() == mean_before
 
-    def test_degenerate_multiclass_sequence_raises_typed_error(self):
-        # heavily overlapping blobs drive M_CW's shared covariance indefinite
-        instances = blob_instances(200, 19, 7, seed=6, spread=0.2)
-        with pytest.raises(NumericalDegeneracyError):
-            run_sequence("M_CW", HP, instances, 19, LoopConfig(m=4), num_classes=7)
+    def test_degenerate_multiclass_sequence_raises_typed_error(self, indefinite_m_cw):
+        # an indefinite shared covariance stops the sequence with the typed error
+        instances = [(x, int(y) - 1) for x, y in parse_text(INDEFINITE_LINES).instances]
+        with pytest.raises(NumericalDegeneracyError, match="positive definiteness"):
+            run_sequence("M_CW", HP, instances, 2, LoopConfig(m=4), num_classes=3)
 
 
 class TestNormBound:
