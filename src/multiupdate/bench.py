@@ -123,7 +123,7 @@ def _run_one(kind: str, m: int, run_index: int):
     try:
         _, records, stats = run_sequence(
             kind, _CTX["hp"], sequences[run_index], _CTX["d"], cfg,
-            num_classes=_CTX["num_classes"],
+            num_classes=_CTX["num_classes"], audit=_CTX["audit"] or _CTX["want_trace"],
         )
     except NumericalDegeneracyError as exc:
         raise NumericalDegeneracyError(f"{kind} m={m} run={run_index}: {exc}") from None
@@ -135,10 +135,10 @@ def _run_one(kind: str, m: int, run_index: int):
             report.min_slack,
             [(b.index, b.lhs, b.rhs) for b in report.failures],
         )
-    rows = None
+    lines = None
     if _CTX["want_trace"]:
-        rows = trace_records(records, algorithm=kind, m=m, run=run_index)
-    return stats, audit_summary, rows
+        lines = trace_records(records, algorithm=kind, m=m, run=run_index)
+    return stats, audit_summary, lines
 
 
 def run_benchmark(dataset: Dataset, algorithms: list[str], m_values: list[int],
@@ -204,7 +204,7 @@ def run_benchmark(dataset: Dataset, algorithms: list[str], m_values: list[int],
                     cell.mean[metric] = mean
                     cell.std[metric] = std
                 result.cells.append(cell)
-                for r, (_, audit_summary, rows) in enumerate(outputs):
+                for r, (_, audit_summary, lines) in enumerate(outputs):
                     if audit_summary is not None:
                         checked, min_slack, failures = audit_summary
                         result.audited_instances += checked
@@ -212,8 +212,8 @@ def run_benchmark(dataset: Dataset, algorithms: list[str], m_values: list[int],
                         for idx, lhs, rhs in failures:
                             result.audit_failures.append(
                                 AuditFailure(kind, m, r, idx, lhs, rhs))
-                    if rows is not None:
-                        write_trace(trace_fh, rows)
+                    if lines is not None:
+                        write_trace(trace_fh, lines)
     finally:
         if pool is not None:
             pool.shutdown()

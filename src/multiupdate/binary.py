@@ -31,10 +31,22 @@ from .errors import ConfigError
 from .numerics import inv_norm_cdf
 from .params import HyperParams
 
+
+def _sq_change(w: np.ndarray, old: np.ndarray | None) -> float:
+    """||w - old||^2 for a whole-vector update, or 0.0 when old was not kept."""
+    if old is None:
+        return 0.0
+    delta = w - old
+    return float(delta @ delta)
+
+
 class BinaryLearner:
     """Base: holds the dimension, hyperparameters, and the outer-instance clock t."""
 
     kind: str = "?"
+    audit: bool = True
+    """Whether step() measures delta_sq_norm; False reports 0.0 instead.
+    The engine sets it once per run, from whether anything reads the audit."""
 
     def __init__(self, d: int, hp: HyperParams):
         if d < 1:
@@ -79,7 +91,7 @@ class Perceptron(FirstOrderLearner):
         mis = y * s <= 0
         if not mis or x.squared_norm() <= PASSIVE_EPS:
             return passive(loss, mis)
-        dsq = sparse_add(self.w, x, float(y))
+        dsq = sparse_add(self.w, x, float(y), self.audit)
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=1.0, mispredicted=mis)
 
@@ -101,7 +113,7 @@ class _PABase(FirstOrderLearner):
         if loss <= PASSIVE_EPS or xsq <= PASSIVE_EPS:
             return passive(loss, mis)
         tau = self.tau_rule(loss, xsq, self.hp, self.t)
-        dsq = sparse_add(self.w, x, tau * y)
+        dsq = sparse_add(self.w, x, tau * y, self.audit)
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=tau, mispredicted=mis)
 
@@ -158,14 +170,13 @@ class ALMA(FirstOrderLearner):
         if y * s / xnorm > (1.0 - self.hp.alma_alpha) * theta:
             return passive(loss, mis)
         eta = self.hp.alma_C / math.sqrt(self.k)
-        old = self.w.copy()
+        old = self.w.copy() if self.audit else None
         self.w[x.indices] += eta * y * x.values / xnorm
         wnorm = float(np.linalg.norm(self.w))
         if wnorm > 1.0:
             self.w /= wnorm
         self.k += 1
-        delta = self.w - old
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=float(delta @ delta),
+        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=_sq_change(self.w, old),
                           tau=eta, mispredicted=mis)
 
 
@@ -186,15 +197,14 @@ class _RommaBase(FirstOrderLearner):
             return passive(loss, mis)
         coefs = romma_coefs(xsq, float(self.w @ self.w), y * s)
         if coefs is None:
-            dsq = sparse_add(self.w, x, float(y))
+            dsq = sparse_add(self.w, x, float(y), self.audit)
             return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                               tau=1.0, mispredicted=mis)
         c, g = coefs
-        old = self.w.copy()
+        old = self.w.copy() if self.audit else None
         self.w *= c
         self.w[x.indices] += g * y * x.values
-        delta = self.w - old
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=float(delta @ delta),
+        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=_sq_change(self.w, old),
                           tau=g, mispredicted=mis)
 
 
@@ -253,7 +263,7 @@ class SOP(BinaryLearner):
         xsq = x.squared_norm()
         if not mis or xsq <= PASSIVE_EPS:
             return passive(loss, mis)
-        dsq = sparse_add(self.v, x, float(y))
+        dsq = sparse_add(self.v, x, float(y), self.audit)
         self._w = None
         if self._P is not None:
             px = self._P[:, x.indices] @ x.values
@@ -306,7 +316,7 @@ class CW(SecondOrderLearner):
         if alpha <= 0.0:
             return passive(loss, mis)
         downdate(self.sigma, sx, beta)
-        dsq = dense_add(self.mu, sx, alpha * y)
+        dsq = dense_add(self.mu, sx, alpha * y, self.audit)
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=alpha, mispredicted=mis)
 
@@ -349,7 +359,7 @@ class AROW(SecondOrderLearner):
             return passive(loss, mis)
         alpha, beta = arow_step(loss, v, self._r(v))
         downdate(self.sigma, sx, self._shrink(v, beta))
-        dsq = dense_add(self.mu, sx, alpha * y)
+        dsq = dense_add(self.mu, sx, alpha * y, self.audit)
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=alpha, mispredicted=mis)
 
@@ -408,7 +418,7 @@ class IELLIP(SecondOrderLearner):
         sg = y * sx / root_v                      # Sigma @ g
         downdate(self.sigma, sg, self.hp.iellip_c)
         self.sigma *= self.hp.iellip_b
-        dsq = dense_add(self.mu, sg, alpha)
+        dsq = dense_add(self.mu, sg, alpha, self.audit)
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=alpha, mispredicted=mis)
 

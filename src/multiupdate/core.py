@@ -108,7 +108,9 @@ class UpdateInfo:
 
     delta_sq_norm is the squared L2 change of the learner's audited vector
     (w, mu, v, or W depending on the kind) and must be 0 when nothing fired;
-    mispredicted reflects the cycle's own pre-update prediction.
+    it is also 0 when the learner is not auditing (its audit attribute is
+    False), because then nobody reads it. mispredicted reflects the cycle's
+    own pre-update prediction.
     """
 
     loss: float
@@ -131,13 +133,18 @@ def passive(loss: float, mispredicted: bool) -> UpdateInfo:
     return UpdateInfo(loss=loss, triggered=False, mispredicted=mispredicted)
 
 
-def sparse_add(row: np.ndarray, x: SparseVector, coef: float) -> float:
-    """row += coef * x on x's support; returns the realized squared change.
+def sparse_add(row: np.ndarray, x: SparseVector, coef: float, audit: bool = True) -> float:
+    """row += coef * x on x's support; returns the realized squared change,
+    or 0.0 without computing it when audit is False.
 
     Measured from the committed values rather than coef^2 * ||x||^2 so the
     reported delta matches the state the audit later re-norms even when the
     increment is partly absorbed by rounding against large coordinates.
+    Both paths store the same sums: x's indices are unique.
     """
+    if not audit:
+        row[x.indices] += coef * x.values
+        return 0.0
     old = row[x.indices]
     new = old + coef * x.values
     row[x.indices] = new
@@ -145,8 +152,12 @@ def sparse_add(row: np.ndarray, x: SparseVector, coef: float) -> float:
     return float(np.add.reduce(d * d))
 
 
-def dense_add(row: np.ndarray, v: np.ndarray, coef: float) -> float:
-    """row += coef * v in place; returns the realized squared change."""
+def dense_add(row: np.ndarray, v: np.ndarray, coef: float, audit: bool = True) -> float:
+    """row += coef * v in place; returns the realized squared change, or 0.0
+    without computing it when audit is False."""
+    if not audit:
+        row += coef * v
+        return 0.0
     new = row + coef * v
     d = new - row
     row[...] = new

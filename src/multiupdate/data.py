@@ -61,6 +61,11 @@ def _infer_space(labels: set[float]) -> tuple[str, int]:
     return MULTICLASS_SPACE, len(labels)
 
 
+MAX_INDEX = 2**31 - 1
+"""The largest feature index accepted: LIBSVM's C int limit. Larger indices
+(which would also overflow int64 or the dense model's memory) are a
+DataError naming the line."""
+
 CHUNK_LINES = 256
 """Lines per parse chunk. Numbers convert in bulk one chunk at a time, so a
 chunk's token strings are the parse's transient memory: with 21 features
@@ -82,9 +87,10 @@ def parse_sparse_text(stream: BinaryIO, name: str = "") -> Dataset:
     """Parse the sparse text format from a byte stream.
 
     Malformed pairs, non-numeric fields, non-finite labels or values, values
-    whose square overflows, indices < 1, and duplicate indices raise
-    DataError with the 1-based line number. Within-line indices are
-    re-sorted, so out-of-order entries are accepted; duplicates are not.
+    whose square overflows, indices < 1 or > MAX_INDEX, and duplicate
+    indices raise DataError with the 1-based line number. Within-line
+    indices are re-sorted, so out-of-order entries are accepted; duplicates
+    are not.
     d is the largest index in the file, explicit zeros included.
 
     Rows are views into buffers shared by up to CHUNK_LINES lines; their
@@ -110,8 +116,7 @@ def parse_sparse_text(stream: BinaryIO, name: str = "") -> Dataset:
         try:
             d = max(d, _parse_chunk(chunk, instances))
         except (_Rejected, ValueError, OverflowError):
-            # the scan raises the first bad line's DataError; what it cannot
-            # name (an index beyond int64) propagates unchanged
+            # the scan raises the first bad line's DataError
             _scan_lines(chunk, start + 1, name)
             raise
     if not instances:
@@ -151,7 +156,8 @@ def _parse_chunk(lines: list[str], out: list[tuple[SparseVector, float]]) -> int
     idx = np.fromiter(map(int, halves[::2]), np.int64, n_pairs)
     val = np.fromiter(map(float, halves[1::2]), np.float64, n_pairs)
     del halves
-    if n_pairs and idx.min() < 1:
+    top = int(idx.max()) if n_pairs else 0
+    if n_pairs and (idx.min() < 1 or top > MAX_INDEX):
         raise _Rejected
     row_of = np.repeat(np.arange(n_rows), counts)
     same_row = row_of[1:] == row_of[:-1]
@@ -161,7 +167,6 @@ def _parse_chunk(lines: list[str], out: list[tuple[SparseVector, float]]) -> int
         val = val[order]
         if (same_row & (idx[1:] == idx[:-1])).any():
             raise _Rejected
-    top = int(idx.max()) if n_pairs else 0
     keep = val != 0.0
     if not keep.all():
         idx = idx[keep]
@@ -208,6 +213,9 @@ def _scan_lines(lines: list[str], first_lineno: int, name: str) -> None:
                 raise DataError(f"{name}:{lineno}: non-numeric pair {tok!r}") from None
             if idx < 1:
                 raise DataError(f"{name}:{lineno}: index {idx} is not 1-based positive")
+            if idx > MAX_INDEX:
+                raise DataError(f"{name}:{lineno}: index {idx} exceeds the largest"
+                                f" supported index {MAX_INDEX}")
             pairs.append((idx - 1, val))
         pairs.sort(key=lambda p: p[0])
         for (a, _), (b, _) in zip(pairs, pairs[1:]):

@@ -6,8 +6,10 @@ predict-once/update-once protocol. A mistake is judged from the first
 cycle's prediction (default) or fractionally over all cycles; updates are
 counted over all cycles either way.
 
-Every processed instance leaves one InstanceRecord, enough to verify after
-the fact that the final state norm obeys
+Every processed instance leaves one InstanceRecord. When the learner
+audits (its audit attribute, which run_sequence sets once per run from
+whether --audit-theorem1 or --trace reads the result), the records are
+enough to verify after the fact that the final state norm obeys
 
     ||w*|| <= ||w0|| + sqrt(M) * (sum_j ||delta_j||^2)^(1/2)
 
@@ -15,7 +17,9 @@ where w0/w* are the audited state vector before/after the instance's cycles
 and the delta_j are the per-cycle changes of that same vector. The
 inequality is Cauchy-Schwarz on the telescoped updates, so it must hold on
 every engine-produced record; the audit exists to catch accounting bugs, not
-to test the math.
+to test the math. A learner that is not auditing skips that accounting: its
+cycles report delta_sq_norm 0, no norm is taken, run_sequence keeps no
+records, and the learner's arithmetic is the same either way.
 """
 from __future__ import annotations
 
@@ -62,9 +66,9 @@ class InstanceRecord:
     updates: int                       # triggered cycles, in [0, m]
     cycles: int                        # cycles actually executed
     cycle_mispredictions: int          # for per-iteration counting
-    sum_delta_sq: float                # sum over cycles of ||delta||^2
-    w0_norm: float                     # audited-vector norm before the instance
-    w_star_norm: float                 # audited-vector norm after the instance
+    sum_delta_sq: float                # sum over cycles of ||delta||^2 (0 unaudited)
+    w0_norm: float                     # audited-vector norm before (NaN unaudited)
+    w_star_norm: float                 # audited-vector norm after (NaN unaudited)
 
 
 @dataclass
@@ -86,9 +90,11 @@ def process_instance(learner: Learner, x: SparseVector, y: int, cfg: LoopConfig,
     cycle: the learners are deterministic, so every further cycle would
     repeat the same prediction and stay passive. w0_norm is the learner's
     primary_norm() on entry; it is computed when the caller does not know it.
+    A learner that is not auditing takes no norm, and both norms read NaN.
     """
+    audit = learner.audit
     if w0_norm is None:
-        w0_norm = learner.primary_norm()
+        w0_norm = learner.primary_norm() if audit else math.nan
     learner.begin_instance()
     updates = 0
     cycle_mistakes = 0
@@ -118,19 +124,22 @@ def process_instance(learner: Learner, x: SparseVector, y: int, cfg: LoopConfig,
         cycle_mispredictions=cycle_mistakes,
         sum_delta_sq=sum_delta_sq,
         w0_norm=w0_norm,
-        w_star_norm=learner.primary_norm(),
+        w_star_norm=learner.primary_norm() if audit else math.nan,
     )
 
 
 def run_sequence(kind: str, hp: HyperParams, instances: Sequence[tuple[SparseVector, int]],
-                 d: int, cfg: LoopConfig, num_classes: int | None = None,
-                 ) -> tuple[Learner, list[InstanceRecord], RunStats]:
+                 d: int, cfg: LoopConfig, num_classes: int | None = None, *,
+                 audit: bool = True,
+                 ) -> tuple[Learner, list[InstanceRecord] | None, RunStats]:
     """Process an ordered instance sequence from a zero-initialized learner.
 
     cpu_seconds covers exactly the loop below — thread CPU time, so
     harness-level parallelism does not distort it. Instance i starts from
     instance i-1's w_star_norm: begin_instance() only advances the clock, so
-    the norm is taken once per instance.
+    the norm is taken once per instance. With audit False the learner skips
+    the delta and norm accounting and the records come back as None; the
+    statistics and the learner's final state are the same either way.
     """
     if not instances:
         raise DataError("cannot run on an empty dataset")
@@ -138,17 +147,20 @@ def run_sequence(kind: str, hp: HyperParams, instances: Sequence[tuple[SparseVec
         learner: Learner = make_binary(kind, d, hp)
     else:
         learner = make_multiclass(kind, num_classes, d, hp)
-    records: list[InstanceRecord] = []
+    learner.audit = audit
+    records: list[InstanceRecord] | None = [] if audit else None
+    per_iteration = cfg.counting_mode is CountingMode.PER_ITERATION
     mistakes = 0.0
     updates = 0
     started = time.thread_time()
-    w0 = learner.primary_norm()
+    w0 = learner.primary_norm() if audit else math.nan
     for x, y in instances:
         record = process_instance(learner, x, y, cfg, w0)
-        records.append(record)
+        if audit:
+            records.append(record)
         w0 = record.w_star_norm
         updates += record.updates
-        if cfg.counting_mode is CountingMode.PER_ITERATION:
+        if per_iteration:
             mistakes += record.cycle_mispredictions / cfg.m
         else:
             mistakes += 1.0 if record.mistake else 0.0
@@ -205,29 +217,36 @@ def check_norm_bound(records: Sequence[InstanceRecord], m: int) -> BoundReport:
     return BoundReport(instances=results)
 
 
-def trace_records(records: Sequence[InstanceRecord], **meta) -> list[dict]:
-    """Per-instance trace rows for line-delimited export.
+def trace_records(records: Sequence[InstanceRecord], **meta) -> list[str]:
+    """Per-instance trace lines for line-delimited export, newline included.
+
+    Each line is the JSON object of meta's keys, then instance, mistake,
+    updates, sum_delta_sq, w_star_norm and w0_norm, byte for byte what
+    json.dumps(row, separators=(",", ":")) writes: one template fills in the
+    fields, because json.dumps writes a finite float as its repr. A row
+    holding a non-finite float goes through json.dumps (NaN, Infinity).
+    meta must not reuse the record's keys.
 
     Consecutive rows chain: instance i's initial norm equals instance i-1's
     w_star_norm (the state carries over), but both ends are included so each
     row can be audited standalone with check_norm_bound's inequality.
     """
-    rows = []
+    head = json.dumps(meta, separators=(",", ":"))[:-1] + ("," if meta else "")
+    lines = []
     for i, r in enumerate(records):
-        row = dict(meta)
-        row.update(
-            instance=i,
-            mistake=bool(r.mistake),
-            updates=r.updates,
-            sum_delta_sq=r.sum_delta_sq,
-            w_star_norm=r.w_star_norm,
-            w0_norm=r.w0_norm,
-        )
-        rows.append(row)
-    return rows
+        sq, w_star, w0 = r.sum_delta_sq, r.w_star_norm, r.w0_norm
+        if math.isfinite(sq) and math.isfinite(w_star) and math.isfinite(w0):
+            lines.append(f'{head}"instance":{i},"mistake":{"true" if r.mistake else "false"},'
+                         f'"updates":{r.updates},"sum_delta_sq":{sq!r},'
+                         f'"w_star_norm":{w_star!r},"w0_norm":{w0!r}}}\n')
+        else:
+            row = dict(meta, instance=i, mistake=bool(r.mistake), updates=r.updates,
+                       sum_delta_sq=sq, w_star_norm=w_star, w0_norm=w0)
+            lines.append(json.dumps(row, separators=(",", ":")) + "\n")
+    return lines
 
 
-def write_trace(fh, rows: list[dict]) -> None:
-    """Write trace_records() rows as one JSON object per line."""
-    for row in rows:
-        fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+def write_trace(fh, lines: list[str]) -> None:
+    """Write trace_records() lines, one write per line."""
+    for line in lines:
+        fh.write(line)

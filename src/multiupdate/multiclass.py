@@ -31,17 +31,22 @@ from .params import HyperParams
 
 
 def _two_sided_row_update(W, x: SparseVector, y: int, losers, gain: float,
-                          share: float) -> float:
+                          share: float, audit: bool) -> float:
     """Row y gains gain*x, each loser row loses share*x; returns the realized
     squared change of W (measured after float absorption, so the reported
-    delta always matches the state the audit later re-norms)."""
-    dsq = sparse_add(W[y], x, gain)
+    delta always matches the state the audit later re-norms), or 0.0 when
+    audit is False."""
+    dsq = sparse_add(W[y], x, gain, audit)
     for c in losers:
-        dsq += sparse_add(W[c], x, -share)
+        dsq += sparse_add(W[c], x, -share, audit)
     return dsq
 
 
 class MulticlassLearner:
+    audit: bool = True
+    """Whether step() measures delta_sq_norm; False reports 0.0 instead.
+    The engine sets it once per run, from whether anything reads the audit."""
+
     def __init__(self, num_classes: int, d: int, hp: HyperParams):
         if num_classes < 2:
             raise ConfigError("multiclass learner needs num_classes >= 2")
@@ -101,7 +106,7 @@ class _MPABase(MulticlassLearner):
         if loss <= PASSIVE_EPS or xsq <= PASSIVE_EPS:
             return passive(loss, mis)
         tau = self.tau_rule(loss, 2.0 * xsq, self.hp, self.t)
-        dsq = _two_sided_row_update(self.W, x, y, [r], tau, tau)
+        dsq = _two_sided_row_update(self.W, x, y, [r], tau, tau, self.audit)
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=tau, mispredicted=mis)
 
@@ -149,7 +154,8 @@ class _MPerceptronBase(MulticlassLearner):
             # here would freeze the zero state forever.
             violators = [r]
         share = 1.0 / len(violators)
-        dsq = _two_sided_row_update(self.W, x, y, violators, 1.0, share)
+        dsq = _two_sided_row_update(self.W, x, y, violators, 1.0, share,
+                                    self.audit)
         return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=1.0, mispredicted=mis)
 
@@ -197,17 +203,19 @@ class _MRommaBase(MulticlassLearner):
             return passive(loss, mis)
         coefs = romma_coefs(2.0 * xsq, float(np.sum(self.W * self.W)), margin)
         if coefs is None:
-            dsq = _two_sided_row_update(self.W, x, y, [r], 1.0, 1.0)
+            dsq = _two_sided_row_update(self.W, x, y, [r], 1.0, 1.0, self.audit)
             return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                               tau=1.0, mispredicted=mis)
         c, g = coefs
-        old = self.W.copy()
+        old = self.W.copy() if self.audit else None
         self.W *= c
         self.W[y, x.indices] += g * x.values
         self.W[r, x.indices] -= g * x.values
-        delta = self.W - old
-        return UpdateInfo(loss=loss, triggered=True,
-                          delta_sq_norm=float(np.sum(delta * delta)),
+        dsq = 0.0
+        if old is not None:
+            delta = self.W - old
+            dsq = float(np.sum(delta * delta))
+        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
                           tau=g, mispredicted=mis)
 
 
@@ -234,7 +242,8 @@ class _MSecondOrderBase(MulticlassLearner):
         # positivity holds because 2*beta*(x^T Sigma x) = beta*v < 1 for both
         # the AROW and CW coefficient families.
         downdate(self.sigma, sx, rank1_coef)
-        return dense_add(self.W[y], sx, alpha) + dense_add(self.W[r], sx, -alpha)
+        return (dense_add(self.W[y], sx, alpha, self.audit)
+                + dense_add(self.W[r], sx, -alpha, self.audit))
 
 
 class MAROW(_MSecondOrderBase):

@@ -1,6 +1,7 @@
 """Benchmark harness: cell protocol, aggregation, rendering, parallel parity."""
 from __future__ import annotations
 
+import io
 import math
 
 import pytest
@@ -13,9 +14,11 @@ from multiupdate.bench import (
     resolve_algorithms,
     run_benchmark,
 )
+from multiupdate.binary import BINARY_KINDS
 from multiupdate.data import parse_text
 from multiupdate.engine import CountingMode
 from multiupdate.errors import ConfigError
+from multiupdate.multiclass import MULTICLASS_KINDS
 
 from conftest import blob_instances, instances_to_text, separable_instances
 
@@ -169,6 +172,45 @@ class TestProtocol:
         monkeypatch.setenv("BENCH_THREADS", "2")
         result = run_benchmark(binary_ds, ["PA"], [1], runs=2, base_seed=0)
         assert len(result.cells) == 1   # smoke: env path executes
+
+
+def _stand_in(space: str):
+    if space == "binary":
+        text = instances_to_text(separable_instances(60, 5, seed=37, margin=0.02,
+                                                     noise=0.2, scale=0.3))
+    else:
+        text = instances_to_text(blob_instances(60, 5, 4, seed=37, spread=1.5),
+                                 multiclass=True)
+    return parse_text(text, name=f"stand-in-{space}")
+
+
+class TestAuditIsReadOnly:
+    """The audit and the trace read the sweep; they must not change it."""
+
+    @pytest.mark.parametrize("space", ["binary", "multiclass"])
+    def test_csv_identical_with_and_without_audit_and_trace(self, space):
+        ds = _stand_in(space)
+        kwargs = dict(algorithms="all", m_values=[1, 4, 32], runs=2, base_seed=0, threads=1)
+        plain = run_benchmark(ds, **kwargs)
+        trace = io.StringIO()
+        audited = run_benchmark(ds, audit=True, trace_fh=trace, **kwargs)
+        kinds = {c.algorithm for c in plain.cells}
+        assert len(kinds) == (16 if space == "binary" else 13)
+        assert emit(plain, "csv") == emit(audited, "csv")
+        assert audited.audit_passed
+        assert audited.audited_instances == 60 * 2 * 3 * len(kinds)
+        assert len(trace.getvalue().splitlines()) == audited.audited_instances
+
+    @pytest.mark.parametrize("space", ["binary", "multiclass"])
+    def test_unread_audit_takes_no_norm(self, space, monkeypatch):
+        def boom(self):
+            raise AssertionError("primary_norm() called although nothing reads the audit")
+
+        for cls in (*BINARY_KINDS.values(), *MULTICLASS_KINDS.values()):
+            monkeypatch.setattr(cls, "primary_norm", boom)
+        result = run_benchmark(_stand_in(space), "all", [1, 4], runs=2, base_seed=0, threads=1)
+        assert len(result.cells) == (32 if space == "binary" else 26)
+        assert result.audited_instances == 0
 
 
 class TestEmit:

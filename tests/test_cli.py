@@ -233,6 +233,20 @@ class TestExitCodes:
         assert "error: nan.txt:1: non-finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("index", ["99999999999999999999", "100000000000"],
+                             ids=["beyond-int64", "beyond-memory"])
+    def test_index_too_large_exits_2(self, tmp_path, capsys, index):
+        # the first overflowed int64, the second parsed and then failed to
+        # allocate the dense model; both now stop in the parser
+        bad = tmp_path / "big.txt"
+        bad.write_text(f"-1 1:1\n+1 {index}:1\n")
+        rc = run_cli("--data", str(bad), "--algos", "PA1", "--m", "1", "--runs", "1")
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == (f"error: big.txt:2: index {index} exceeds the largest"
+                                " supported index 2147483647\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_degenerate_covariance_exits_4(self, tmp_path, monkeypatch, capsys, threads,
                                            indefinite_m_cw):

@@ -132,6 +132,20 @@ class TestRowAdds:
         assert dense_add(row, v, -0.61) == expected
         assert np.array_equal(row, ref)
 
+    def test_unaudited_adds_store_the_same_bits_and_report_zero(self):
+        rng = np.random.default_rng(7)
+        x = SparseVector([0, 3, 5, 11], rng.normal(size=4).tolist())
+        v = rng.normal(size=12)
+        for coef in (0.37, -1e-9, 3e7):
+            row = rng.normal(size=12) * 1e8
+            audited, unaudited = row.copy(), row.copy()
+            sparse_add(audited, x, coef)
+            assert sparse_add(unaudited, x, coef, False) == 0.0
+            assert audited.tobytes() == unaudited.tobytes()
+            dense_add(audited, v, coef)
+            assert dense_add(unaudited, v, coef, False) == 0.0
+            assert audited.tobytes() == unaudited.tobytes()
+
 
 class TestDowndate:
     def test_in_place_matches_outer_product_form(self):

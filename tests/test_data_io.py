@@ -15,6 +15,7 @@ from multiupdate.core import SparseVector
 from multiupdate.data import (
     BINARY_SPACE,
     CHUNK_LINES,
+    MAX_INDEX,
     MULTICLASS_SPACE,
     as_learning_instances,
     load_dataset,
@@ -121,6 +122,13 @@ class TestParsing:
     def test_negative_index(self):
         with pytest.raises(DataError, match="index -3 is not 1-based"):
             parse_text("+1 -3:1\n")
+
+    def test_largest_index_accepted(self):
+        # the bound itself parses; only the dense model would be too large
+        ds = parse_text(f"+1 1:1 {MAX_INDEX}:2\n-1 1:1\n")
+        assert MAX_INDEX == 2**31 - 1
+        assert ds.d == MAX_INDEX
+        assert ds.instances[0][0].max_index == MAX_INDEX - 1
 
     def test_empty_file(self):
         with pytest.raises(DataError, match="no instances"):
@@ -247,6 +255,10 @@ _BAD_LINES = [
     ("+1 1:1 2:-inf", "non-finite feature value or squared norm (2:-inf)"),
     ("+1 1:1e154 2:1e154 3:1e154",
      "non-finite feature value or squared norm (the sum of squares overflows)"),
+    # beyond int64, then beyond LIBSVM's C int but within int64
+    ("+1 99999999999999999999:1",
+     "index 99999999999999999999 exceeds the largest supported index 2147483647"),
+    ("+1 1:1 2147483648:1", "index 2147483648 exceeds the largest supported index 2147483647"),
 ]
 
 

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from multiupdate.binary import BINARY_KINDS, make_binary
 from multiupdate.core import SparseVector
@@ -179,6 +181,18 @@ class TestRunSequence:
         assert len(calls) == len(instances) + 1
         assert records[0].w0_norm == 0.0
 
+    def test_unaudited_sequence_keeps_no_records(self):
+        instances = separable_instances(40, 5, seed=2, margin=0.05, noise=0.1)
+        cfg = LoopConfig(m=4, counting_mode=CountingMode.PER_ITERATION)
+        audited, records, stats = run_sequence("AROW", HP, instances, 5, cfg)
+        plain, none, plain_stats = run_sequence("AROW", HP, instances, 5, cfg, audit=False)
+        assert none is None and len(records) == 40
+        assert not plain.audit
+        assert (plain_stats.mistake_rate, plain_stats.updates) == \
+            (stats.mistake_rate, stats.updates)
+        assert plain.mu.tobytes() == audited.mu.tobytes()
+        assert plain.sigma.tobytes() == audited.sigma.tobytes()
+
     @pytest.mark.parametrize("kind", sorted(BINARY_KINDS))
     @pytest.mark.parametrize("mode", list(CountingMode))
     def test_stop_early_is_a_no_op_binary(self, kind, mode):
@@ -318,8 +332,9 @@ class TestTraceExport:
     def test_records_chain_and_fields(self):
         instances = separable_instances(30, 4, seed=23, margin=0.05, noise=0.1)
         _, records, _ = run_sequence("PA1", HP, instances, 4, LoopConfig(m=2))
-        rows = trace_records(records, algorithm="PA1", m=2, run=0)
-        assert len(rows) == 30
+        lines = trace_records(records, algorithm="PA1", m=2, run=0)
+        assert len(lines) == 30
+        rows = [json.loads(line) for line in lines]
         for i, row in enumerate(rows):
             assert row["algorithm"] == "PA1"
             assert row["m"] == 2
@@ -333,9 +348,139 @@ class TestTraceExport:
     def test_jsonl_round_trip(self):
         instances = separable_instances(12, 4, seed=29, margin=0.05, noise=0.1)
         _, records, _ = run_sequence("OGD", HP, instances, 4, LoopConfig(m=3))
-        rows = trace_records(records, algorithm="OGD", m=3, run=1)
+        lines = trace_records(records, algorithm="OGD", m=3, run=1)
         buf = io.StringIO()
-        write_trace(buf, rows)
-        lines = buf.getvalue().splitlines()
-        assert len(lines) == 12
-        assert [json.loads(line) for line in lines] == rows
+        write_trace(buf, lines)
+        assert buf.getvalue() == "".join(lines)
+        rows = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert len(rows) == 12
+        assert [row["instance"] for row in rows] == list(range(12))
+        assert all(row["w0_norm"] >= 0.0 for row in rows)
+
+
+_ALL_KINDS = sorted(BINARY_KINDS) + sorted(MULTICLASS_KINDS)
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308)
+
+
+def _reference_line(record: InstanceRecord, i: int, **meta) -> str:
+    row = dict(meta, instance=i, mistake=record.mistake, updates=record.updates,
+               sum_delta_sq=record.sum_delta_sq, w_star_norm=record.w_star_norm,
+               w0_norm=record.w0_norm)
+    return json.dumps(row, separators=(",", ":")) + "\n"
+
+
+@st.composite
+def _records(draw, floats):
+    n = draw(st.integers(1, 4))
+    return [InstanceRecord(mistake=draw(st.booleans()), updates=draw(st.integers(0, 64)),
+                           cycles=64, cycle_mispredictions=0, sum_delta_sq=draw(floats),
+                           w0_norm=draw(floats), w_star_norm=draw(floats))
+            for _ in range(n)]
+
+
+_FINITE = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestTraceTemplate:
+    """Each trace line equals what json.dumps writes for the row, byte for byte."""
+
+    @given(records=_records(_FINITE), kind=st.sampled_from(_ALL_KINDS),
+           m=st.integers(1, 64), run=st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_finite_rows_match_json_dumps(self, records, kind, m, run):
+        lines = trace_records(records, algorithm=kind, m=m, run=run)
+        assert lines == [_reference_line(r, i, algorithm=kind, m=m, run=run)
+                         for i, r in enumerate(records)]
+
+    @given(records=_records(st.floats()), kind=st.sampled_from(_ALL_KINDS))
+    @example(records=[make_record(w0=math.inf, sum_delta_sq=0.0, w_star=math.nan, updates=1)],
+             kind="AROW")
+    @example(records=[make_record(w0=0.0, sum_delta_sq=-math.inf, w_star=1.0, updates=0)],
+             kind="M_PA")
+    @settings(max_examples=80, deadline=None)
+    def test_non_finite_rows_match_json_dumps(self, records, kind):
+        lines = trace_records(records, algorithm=kind, m=4, run=1)
+        assert lines == [_reference_line(r, i, algorithm=kind, m=4, run=1)
+                         for i, r in enumerate(records)]
+
+    @pytest.mark.parametrize("mistake", [True, False])
+    def test_every_kind_name(self, mistake):
+        record = InstanceRecord(mistake=mistake, updates=3, cycles=4, cycle_mispredictions=1,
+                                sum_delta_sq=0.1, w0_norm=1.0 / 3.0, w_star_norm=2.5e-300)
+        for kind in _ALL_KINDS:
+            [line] = trace_records([record], algorithm=kind, m=32, run=0)
+            assert line == _reference_line(record, 0, algorithm=kind, m=32, run=0)
+            assert f'"mistake":{"true" if mistake else "false"},' in line
+
+
+@st.composite
+def _dense_instance(draw, lo: float, hi: float):
+    """(x as a dense array, its SparseVector, a label) with ||x||^2 >= 1e-2."""
+    d = draw(st.integers(1, 6))
+    x = np.array(draw(st.lists(st.floats(lo, hi, allow_subnormal=False),
+                               min_size=d, max_size=d)))
+    assume(float(x @ x) >= 1e-2)
+    return x, SparseVector(range(d), x), draw(st.sampled_from((-1, 1)))
+
+
+class TestCycleOracles:
+    """Closed forms of the m-cycle loop, checked through process_instance with
+    the learner auditing and not, against plain numpy on the dense state."""
+
+    @given(inst=_dense_instance(-3.0, 3.0), scales=st.lists(st.floats(0.1, 10.0),
+                                                           min_size=6, max_size=6),
+           loss0=st.floats(0.1, 2.0), ratio=st.floats(0.01, 2.0), m=st.integers(1, 32))
+    @settings(max_examples=60, deadline=None)
+    def test_arow_loss_and_confidence_shrink_as_one_over_one_plus_k(self, inst, scales,
+                                                                   loss0, ratio, m):
+        # each AROW cycle maps loss l -> l*r/(v+r) and confidence v -> v*r/(v+r),
+        # so 1/v grows by 1/r per cycle: after k cycles
+        # v_k = v0/(1 + k*v0/r) and l_k = l0/(1 + k*v0/r), and every cycle fires
+        x, xs, y = inst
+        sigma0 = np.diag(scales[:x.size])
+        mu0 = (1.0 - loss0) / float(x @ x) * y * x
+        v0 = float(x @ sigma0 @ x)
+        r = v0 / ratio
+        l0 = 1.0 - y * float(mu0 @ x)
+        states = []
+        for audit in (True, False):
+            learner = make_binary("AROW", x.size, HP.replace(arow_r=r))
+            learner.audit = audit
+            learner.mu[:] = mu0
+            learner.sigma[:] = sigma0
+            record = process_instance(learner, xs, y, LoopConfig(m=m))
+            assert record.updates == record.cycles == m
+            shrink = 1.0 + m * v0 / r
+            assert 1.0 - y * float(learner.mu @ x) == pytest.approx(l0 / shrink, rel=1e-12)
+            assert float(x @ learner.sigma @ x) == pytest.approx(v0 / shrink, rel=1e-12)
+            states.append((learner.mu.tobytes(), learner.sigma.tobytes()))
+        assert states[0] == states[1]
+
+    @given(inst=_dense_instance(-2.0, 2.0),
+           w=st.lists(st.floats(-0.5, 0.5), min_size=6, max_size=6),
+           C=st.sampled_from((0.01, 0.05, 0.3)), m=st.integers(1, 32))
+    @settings(max_examples=80, deadline=None)
+    def test_pa1_update_count(self, inst, w, C, m):
+        # capped steps lower the loss by C*||x||^2 each; the step that would
+        # overshoot lands on the margin, so ceil(l0 / (C*||x||^2)) steps end
+        # the loss, or the m-cycle cap comes first
+        x, xs, y = inst
+        w0 = np.array(w[:x.size])
+        l0 = 1.0 - y * float(w0 @ x)
+        assume(l0 > 0.0)
+        steps = l0 / (C * float(x @ x))
+        # whether a loss left at rounding level re-triggers is not decided here
+        assume(abs(steps - round(steps)) > 1e-9 * steps)
+        states = []
+        for audit in (True, False):
+            learner = make_binary("PA1", x.size, HP.replace(C=C))
+            learner.audit = audit
+            learner.w[:] = w0
+            record = process_instance(learner, xs, y, LoopConfig(m=m))
+            assert record.updates == min(m, math.ceil(steps))
+            if not audit:
+                assert record.sum_delta_sq == 0.0
+                assert math.isnan(record.w0_norm) and math.isnan(record.w_star_norm)
+            states.append(learner.w.tobytes())
+        assert states[0] == states[1]
