@@ -119,7 +119,7 @@ _CTX: dict = {}
 
 def _run_one(kind: str, m: int, run_index: int):
     sequences = _CTX["sequences"]
-    cfg = LoopConfig(m=m, counting_mode=_CTX["counting_mode"], stop_early=_CTX["stop_early"])
+    cfg = LoopConfig(m=m, counting_mode=_CTX["counting_mode"])
     try:
         _, records, stats = run_sequence(
             kind, _CTX["hp"], sequences[run_index], _CTX["d"], cfg,
@@ -144,7 +144,6 @@ def _run_one(kind: str, m: int, run_index: int):
 def run_benchmark(dataset: Dataset, algorithms: list[str], m_values: list[int],
                   runs: int, base_seed: int, *,
                   counting_mode: CountingMode = CountingMode.FIRST_PREDICTION,
-                  stop_early: bool = True,
                   hp: HyperParams | None = None,
                   threads: int | None = None,
                   audit: bool = False,
@@ -176,8 +175,7 @@ def run_benchmark(dataset: Dataset, algorithms: list[str], m_values: list[int],
 
     _CTX.update(
         sequences=sequences, d=dataset.d, num_classes=num_classes, hp=hp,
-        counting_mode=counting_mode, stop_early=stop_early,
-        audit=audit, want_trace=trace_fh is not None,
+        counting_mode=counting_mode, audit=audit, want_trace=trace_fh is not None,
     )
     result = BenchmarkResult(
         dataset_name=dataset.name or "dataset", n=n, d=dataset.d,

@@ -7,9 +7,11 @@ Every learner exposes
     step(x, y) -> UpdateInfo  one predict -> maybe-update cycle
     primary_norm() -> float   L2 norm of the audited state vector
 
-step() is deterministic, so once a cycle reports triggered=False every
-further cycle on the same (x, y) is a no-op — the property the engine's
-early-exit relies on.
+step() reports only what the engine reads: whether the cycle fired, whether
+its pre-update prediction was wrong, and the squared change of the audited
+vector. It is deterministic, so once a cycle reports triggered=False every
+further cycle on the same (x, y) is a no-op; the engine therefore always
+stops an instance at its first passive cycle.
 
 The audited state vector (whose per-cycle change is reported in
 delta_sq_norm and whose norm primary_norm() returns) is w for first-order
@@ -86,14 +88,10 @@ class Perceptron(FirstOrderLearner):
     kind = "Perceptron"
 
     def step(self, x, y):
-        s = self.score(x)
-        loss = hinge_loss(y, s)
-        mis = y * s <= 0
+        mis = y * self.score(x) <= 0
         if not mis or x.squared_norm() <= PASSIVE_EPS:
-            return passive(loss, mis)
-        dsq = sparse_add(self.w, x, float(y), self.audit)
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
-                          tau=1.0, mispredicted=mis)
+            return passive(mis)
+        return UpdateInfo(True, mis, sparse_add(self.w, x, float(y), self.audit))
 
 
 class _PABase(FirstOrderLearner):
@@ -111,11 +109,9 @@ class _PABase(FirstOrderLearner):
         # is already met (an uncapped step lands on it exactly); treating it
         # as positive would re-trigger zero-size updates on repeat cycles.
         if loss <= PASSIVE_EPS or xsq <= PASSIVE_EPS:
-            return passive(loss, mis)
+            return passive(mis)
         tau = self.tau_rule(loss, xsq, self.hp, self.t)
-        dsq = sparse_add(self.w, x, tau * y, self.audit)
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
-                          tau=tau, mispredicted=mis)
+        return UpdateInfo(True, mis, sparse_add(self.w, x, tau * y, self.audit))
 
 
 class PA(_PABase):
@@ -160,15 +156,14 @@ class ALMA(FirstOrderLearner):
 
     def step(self, x, y):
         s = self.score(x)
-        loss = hinge_loss(y, s)
         mis = y * s <= 0
         xsq = x.squared_norm()
         if xsq <= PASSIVE_EPS:
-            return passive(loss, mis)
+            return passive(mis)
         xnorm = math.sqrt(xsq)
         theta = self.hp.alma_B / math.sqrt(self.k)
         if y * s / xnorm > (1.0 - self.hp.alma_alpha) * theta:
-            return passive(loss, mis)
+            return passive(mis)
         eta = self.hp.alma_C / math.sqrt(self.k)
         old = self.w.copy() if self.audit else None
         self.w[x.indices] += eta * y * x.values / xnorm
@@ -176,8 +171,7 @@ class ALMA(FirstOrderLearner):
         if wnorm > 1.0:
             self.w /= wnorm
         self.k += 1
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=_sq_change(self.w, old),
-                          tau=eta, mispredicted=mis)
+        return UpdateInfo(True, mis, _sq_change(self.w, old))
 
 
 class _RommaBase(FirstOrderLearner):
@@ -189,23 +183,19 @@ class _RommaBase(FirstOrderLearner):
 
     def step(self, x, y):
         s = self.score(x)
-        loss = hinge_loss(y, s)
         mis = y * s <= 0
-        triggered = loss > PASSIVE_EPS if self.aggressive else mis
+        triggered = hinge_loss(y, s) > PASSIVE_EPS if self.aggressive else mis
         xsq = x.squared_norm()
         if not triggered or xsq <= PASSIVE_EPS:
-            return passive(loss, mis)
+            return passive(mis)
         coefs = romma_coefs(xsq, float(self.w @ self.w), y * s)
         if coefs is None:
-            dsq = sparse_add(self.w, x, float(y), self.audit)
-            return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
-                              tau=1.0, mispredicted=mis)
+            return UpdateInfo(True, mis, sparse_add(self.w, x, float(y), self.audit))
         c, g = coefs
         old = self.w.copy() if self.audit else None
         self.w *= c
         self.w[x.indices] += g * y * x.values
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=_sq_change(self.w, old),
-                          tau=g, mispredicted=mis)
+        return UpdateInfo(True, mis, _sq_change(self.w, old))
 
 
 class ROMMA(_RommaBase):
@@ -257,12 +247,9 @@ class SOP(BinaryLearner):
         return float(np.linalg.norm(self.v))
 
     def step(self, x, y):
-        s = self.score(x)
-        loss = hinge_loss(y, s)
-        mis = y * s <= 0
-        xsq = x.squared_norm()
-        if not mis or xsq <= PASSIVE_EPS:
-            return passive(loss, mis)
+        mis = y * self.score(x) <= 0
+        if not mis or x.squared_norm() <= PASSIVE_EPS:
+            return passive(mis)
         dsq = sparse_add(self.v, x, float(y), self.audit)
         self._w = None
         if self._P is not None:
@@ -272,8 +259,7 @@ class SOP(BinaryLearner):
         else:
             xi, xv = x.indices, x.values
             self._S[np.ix_(xi, xi)] += np.outer(xv, xv)
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
-                          tau=1.0, mispredicted=mis)
+        return UpdateInfo(True, mis, dsq)
 
 
 class SecondOrderLearner(BinaryLearner):
@@ -310,15 +296,13 @@ class CW(SecondOrderLearner):
         s = self.score(x)
         mis = y * s <= 0
         if x.squared_norm() <= PASSIVE_EPS:
-            return passive(hinge_loss(y, s), mis)
+            return passive(mis)
         sx, v = sigma_x(self.sigma, x)
-        loss, alpha, beta = cw_step(self.alpha_rule, y * s, v, self._phi, self.hp)
+        alpha, beta = cw_step(self.alpha_rule, y * s, v, self._phi, self.hp)
         if alpha <= 0.0:
-            return passive(loss, mis)
+            return passive(mis)
         downdate(self.sigma, sx, beta)
-        dsq = dense_add(self.mu, sx, alpha * y, self.audit)
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
-                          tau=alpha, mispredicted=mis)
+        return UpdateInfo(True, mis, dense_add(self.mu, sx, alpha * y, self.audit))
 
 
 class SCW1(CW):
@@ -353,15 +337,13 @@ class AROW(SecondOrderLearner):
         loss = hinge_loss(y, s)
         mis = y * s <= 0
         if loss <= PASSIVE_EPS or x.squared_norm() <= PASSIVE_EPS:
-            return passive(loss, mis)
+            return passive(mis)
         sx, v = sigma_x(self.sigma, x)
         if v <= PASSIVE_EPS:
-            return passive(loss, mis)
+            return passive(mis)
         alpha, beta = arow_step(loss, v, self._r(v))
         downdate(self.sigma, sx, self._shrink(v, beta))
-        dsq = dense_add(self.mu, sx, alpha * y, self.audit)
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
-                          tau=alpha, mispredicted=mis)
+        return UpdateInfo(True, mis, dense_add(self.mu, sx, alpha * y, self.audit))
 
 
 class NAROW(AROW):
@@ -406,21 +388,18 @@ class IELLIP(SecondOrderLearner):
 
     def step(self, x, y):
         s = self.score(x)
-        loss = hinge_loss(y, s)
         mis = y * s <= 0
         if not mis or x.squared_norm() <= PASSIVE_EPS:
-            return passive(loss, mis)
+            return passive(mis)
         sx, v = sigma_x(self.sigma, x)
         if v <= PASSIVE_EPS:
-            return passive(loss, mis)
+            return passive(mis)
         root_v = math.sqrt(v)
         alpha = (1.0 - y * s) / root_v
         sg = y * sx / root_v                      # Sigma @ g
         downdate(self.sigma, sg, self.hp.iellip_c)
         self.sigma *= self.hp.iellip_b
-        dsq = dense_add(self.mu, sg, alpha, self.audit)
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
-                          tau=alpha, mispredicted=mis)
+        return UpdateInfo(True, mis, dense_add(self.mu, sg, alpha, self.audit))
 
 
 BINARY_KINDS: dict[str, type[BinaryLearner]] = {

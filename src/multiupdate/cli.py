@@ -2,12 +2,14 @@
 
     multiupdate bench --data a9a --algos PA1,OGD --m 1,2,4 --runs 20 --seed 7
 
-Exit codes: 0 success, 1 configuration/usage error, 2 data error, 3 norm-bound
+Exit codes: 0 success, 1 configuration/usage error (including an --out or
+--trace path that cannot be opened for writing), 2 data error, 3 norm-bound
 audit failure, 4 numerical degeneracy (a second-order learner's covariance
 lost positive definiteness on this data).
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import sys
@@ -47,6 +49,16 @@ def _parse_overrides(pairs: tuple[str, ...]) -> dict[str, float]:
         except ValueError:
             raise ConfigError(f"--set {name}: {value!r} is not a number") from None
     return overrides
+
+
+def _open_for_writing(files: contextlib.ExitStack, path: str | None, mode: str):
+    """Open an output file on files' stack, or return None when path is unset."""
+    if not path:
+        return None
+    try:
+        return files.enter_context(open(path, mode, newline="\n"))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _apply_config_file(ctx: click.Context, params: dict, path: str) -> None:
@@ -97,8 +109,6 @@ def cli() -> None:
 
 @cli.command()
 @click.option("--data", required=True, help="Path to the dataset file (gzip ok).")
-@click.option("--data-format", default="libsvm", show_default=True,
-              type=click.Choice(["libsvm"]), help="Input file format.")
 @click.option("--algos", default="all", show_default=True,
               help="Comma-separated algorithm names, or 'all'.")
 @click.option("--m", "m_list", default="1,2,4,8,16,32", show_default=True,
@@ -109,8 +119,6 @@ def cli() -> None:
 @click.option("--mode", default="first", show_default=True,
               type=click.Choice(sorted(_MODES)),
               help="Mistake counting: first prediction only, or per inner cycle.")
-@click.option("--no-early-stop", is_flag=True,
-              help="Run all m inner cycles even once the update stops triggering.")
 @click.option("--out", default=None, help="Write output here instead of stdout.")
 @click.option("--format", "fmt", default="table", show_default=True,
               type=click.Choice(["table", "csv"]), help="Output layout.")
@@ -144,23 +152,22 @@ def bench(ctx: click.Context, **params) -> None:
     log.debug("dataset %s: n=%d d=%d classes=%d", dataset.name,
               len(dataset.instances), dataset.d, dataset.num_classes)
 
-    trace_fh = open(params["trace"], "w", newline="\n") if params["trace"] else None
-    try:
+    with contextlib.ExitStack() as files:
+        # Both files open before the sweep, so a bad path costs no sweep work.
+        # The report file is opened for appending and emptied only when the
+        # report is written, so a sweep that fails leaves its old contents.
+        out_fh = _open_for_writing(files, params["out"], "a")
+        trace_fh = _open_for_writing(files, params["trace"], "w")
         result = run_benchmark(
             dataset, params["algos"], m_values, int(params["runs"]), int(params["seed"]),
             counting_mode=_MODES[params["mode"]],
-            stop_early=not params["no_early_stop"],
             hp=hp, audit=params["audit_theorem1"], trace_fh=trace_fh)
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
-
-    text = emit(result, params["fmt"])
-    if params["out"]:
-        with open(params["out"], "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+        text = emit(result, params["fmt"])
+        if out_fh is not None:
+            out_fh.truncate(0)
+            out_fh.write(text)
+        else:
+            click.echo(text, nl=False)
 
     if params["audit_theorem1"]:
         if result.audit_passed:

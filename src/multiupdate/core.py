@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,35 +102,31 @@ def hinge_loss(y: int, score: float) -> float:
     return max(0.0, 1.0 - y * score)
 
 
-@dataclass(slots=True)
-class UpdateInfo:
-    """Record of one predict/maybe-update cycle.
+class UpdateInfo(NamedTuple):
+    """What one predict/maybe-update cycle did, as far as the engine reads it.
 
+    mispredicted reflects the cycle's own pre-update prediction.
     delta_sq_norm is the squared L2 change of the learner's audited vector
-    (w, mu, v, or W depending on the kind) and must be 0 when nothing fired;
-    it is also 0 when the learner is not auditing (its audit attribute is
-    False), because then nobody reads it. mispredicted reflects the cycle's
-    own pre-update prediction.
+    (w, mu, v, or W depending on the kind); it is 0 when nothing fired, and
+    also when the learner is not auditing (its audit attribute is False),
+    because then nobody reads it.
     """
 
-    loss: float
     triggered: bool
+    mispredicted: bool
     delta_sq_norm: float = 0.0
-    tau: float = 0.0
-    mispredicted: bool = False
-
-    def __post_init__(self):
-        if not self.triggered and (self.delta_sq_norm != 0.0 or self.tau != 0.0):
-            raise ValueError("untriggered cycle must report zero delta and tau")
 
 
 PASSIVE_EPS = 1e-15
 """Below this squared norm an instance is treated as all-zero and skipped."""
 
+_PASSIVE_HIT = UpdateInfo(False, False)
+_PASSIVE_MISS = UpdateInfo(False, True)
 
-def passive(loss: float, mispredicted: bool) -> UpdateInfo:
-    """An untriggered cycle: no state change, zero delta and step."""
-    return UpdateInfo(loss=loss, triggered=False, mispredicted=mispredicted)
+
+def passive(mispredicted: bool) -> UpdateInfo:
+    """An untriggered cycle: no state change, zero delta."""
+    return _PASSIVE_MISS if mispredicted else _PASSIVE_HIT
 
 
 def sparse_add(row: np.ndarray, x: SparseVector, coef: float, audit: bool = True) -> float:
@@ -213,30 +209,29 @@ def scw2_alpha(m: float, v: float, phi: float, hp: HyperParams) -> float:
 
 
 def cw_step(alpha_rule, m: float, v: float, phi: float,
-            hp: HyperParams) -> tuple[float, float, float]:
-    """(loss, alpha, beta) of one CW-family update at margin m and confidence v.
+            hp: HyperParams) -> tuple[float, float]:
+    """(alpha, beta) of one CW-family update at margin m and confidence v.
 
-    loss is the shortfall max(0, phi*sqrt(v) - m); alpha == 0 means the
-    cycle stays passive. A v in [-PASSIVE_EPS, 0) is rounding noise on a
-    direction Sigma has collapsed along; it counts as 0, which is passive.
-    A NaN or a v below -PASSIVE_EPS can only come from a covariance that is
-    no longer positive definite, so it raises NumericalDegeneracyError
-    rather than failing inside the square root.
+    The update fires when the shortfall max(0, phi*sqrt(v) - m) exceeds
+    PASSIVE_EPS; alpha == 0 means the cycle stays passive. A v in [-PASSIVE_EPS, 0) is
+    rounding noise on a direction Sigma has collapsed along; it counts as 0,
+    which is passive. A NaN or a v below -PASSIVE_EPS can only come from a
+    covariance that is no longer positive definite, so it raises
+    NumericalDegeneracyError rather than failing inside the square root.
     """
     if not v >= -PASSIVE_EPS:
         raise NumericalDegeneracyError(
             f"x^T Sigma x = {v!r}: the covariance lost positive definiteness")
     if v < 0.0:
         v = 0.0
-    loss = max(0.0, phi * math.sqrt(v) - m)
-    if loss <= PASSIVE_EPS or v <= PASSIVE_EPS:
-        return loss, 0.0, 0.0
+    if max(0.0, phi * math.sqrt(v) - m) <= PASSIVE_EPS or v <= PASSIVE_EPS:
+        return 0.0, 0.0
     alpha = alpha_rule(m, v, phi, hp)
     if alpha <= 0.0:
-        return loss, 0.0, 0.0
+        return 0.0, 0.0
     u = 0.25 * (-alpha * v * phi + math.sqrt(alpha * alpha * v * v * phi * phi + 4.0 * v)) ** 2
     beta = alpha * phi / (math.sqrt(u) + v * alpha * phi)
-    return loss, alpha, beta
+    return alpha, beta
 
 
 def sigma_x(sigma: np.ndarray, x: SparseVector) -> tuple[np.ndarray, float]:

@@ -2,9 +2,13 @@
 
 One instance is processed by up to m predict/update cycles on the same
 (x, y) — with m=1 this reduces bit-for-bit to the classic
-predict-once/update-once protocol. A mistake is judged from the first
-cycle's prediction (default) or fractionally over all cycles; updates are
-counted over all cycles either way.
+predict-once/update-once protocol. The cycles stop at the first one that
+does not fire: the learners are deterministic, so every later cycle would
+repeat its prediction and stay passive. A mistake is judged from the first
+cycle's prediction (default) or fractionally over all m cycles, the skipped
+ones counted as the repeats they would be; the update count is the number
+of cycles that fired. Of each cycle's UpdateInfo the engine reads triggered,
+mispredicted and, when auditing, delta_sq_norm.
 
 Every processed instance leaves one InstanceRecord. When the learner
 audits (its audit attribute, which run_sequence sets once per run from
@@ -46,11 +50,10 @@ class CountingMode(enum.Enum):
 
 @dataclass(frozen=True)
 class LoopConfig:
-    """Inner-loop shape: m cycles per instance, counting mode, early exit."""
+    """Inner-loop shape: up to m cycles per instance, and the counting mode."""
 
     m: int = 1
     counting_mode: CountingMode = CountingMode.FIRST_PREDICTION
-    stop_early: bool = True
 
     def __post_init__(self):
         if self.m < 1:
@@ -86,11 +89,11 @@ def process_instance(learner: Learner, x: SparseVector, y: int, cfg: LoopConfig,
     """Run up to cfg.m predict/update cycles on one (x, y).
 
     The learner's outer clock is advanced here, once, regardless of how many
-    cycles run. With stop_early the loop exits after the first untriggered
-    cycle: the learners are deterministic, so every further cycle would
-    repeat the same prediction and stay passive. w0_norm is the learner's
-    primary_norm() on entry; it is computed when the caller does not know it.
-    A learner that is not auditing takes no norm, and both norms read NaN.
+    cycles run. The loop exits after the first untriggered cycle: the
+    learners are deterministic, so every further cycle would repeat the same
+    prediction and stay passive. w0_norm is the learner's primary_norm() on
+    entry; it is computed when the caller does not know it. A learner that
+    is not auditing takes no norm, and both norms read NaN.
     """
     audit = learner.audit
     if w0_norm is None:
@@ -101,20 +104,20 @@ def process_instance(learner: Learner, x: SparseVector, y: int, cfg: LoopConfig,
     sum_delta_sq = 0.0
     first_mistake = False
     for k in range(cfg.m):
-        info = learner.step(x, y)
-        sum_delta_sq += info.delta_sq_norm
+        triggered, mispredicted, delta_sq_norm = learner.step(x, y)
+        sum_delta_sq += delta_sq_norm
         if k == 0:
-            first_mistake = info.mispredicted
-        if info.mispredicted:
+            first_mistake = mispredicted
+        if mispredicted:
             cycle_mistakes += 1
-        if info.triggered:
+        if triggered:
             updates += 1
-        elif cfg.stop_early:
+        else:
             # The skipped cycles are provably no-ops (deterministic learner,
             # unchanged state), so they would each repeat this cycle's
             # prediction; credit those repeats so early exit never changes
             # the per-iteration mistake statistic.
-            if info.mispredicted:
+            if mispredicted:
                 cycle_mistakes += cfg.m - (k + 1)
             break
     return InstanceRecord(

@@ -104,11 +104,10 @@ class _MPABase(MulticlassLearner):
         # Losses within rounding distance of zero count as satisfied so an
         # exactly-attained margin does not re-trigger on repeat cycles.
         if loss <= PASSIVE_EPS or xsq <= PASSIVE_EPS:
-            return passive(loss, mis)
+            return passive(mis)
         tau = self.tau_rule(loss, 2.0 * xsq, self.hp, self.t)
         dsq = _two_sided_row_update(self.W, x, y, [r], tau, tau, self.audit)
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
-                          tau=tau, mispredicted=mis)
+        return UpdateInfo(True, mis, dsq)
 
 
 class MPA(_MPABase):
@@ -141,11 +140,10 @@ class _MPerceptronBase(MulticlassLearner):
         raise NotImplementedError
 
     def step(self, x, y):
-        s, pred, r, margin, loss = self._margin_parts(x, y)
+        s, pred, r, _, _ = self._margin_parts(x, y)
         mis = pred != y
-        xsq = x.squared_norm()
-        if not mis or xsq <= PASSIVE_EPS:
-            return passive(loss, mis)
+        if not mis or x.squared_norm() <= PASSIVE_EPS:
+            return passive(mis)
         violators = self._violators(s, y, r)
         if not violators:
             # Mispredicted purely by tie-break with no class strictly ahead
@@ -154,10 +152,8 @@ class _MPerceptronBase(MulticlassLearner):
             # here would freeze the zero state forever.
             violators = [r]
         share = 1.0 / len(violators)
-        dsq = _two_sided_row_update(self.W, x, y, violators, 1.0, share,
-                                    self.audit)
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
-                          tau=1.0, mispredicted=mis)
+        dsq = _two_sided_row_update(self.W, x, y, violators, 1.0, share, self.audit)
+        return UpdateInfo(True, mis, dsq)
 
 
 class MPerceptronM(_MPerceptronBase):
@@ -200,12 +196,11 @@ class _MRommaBase(MulticlassLearner):
         triggered = loss > PASSIVE_EPS if self.aggressive else margin <= 0.0
         xsq = x.squared_norm()
         if not triggered or xsq <= PASSIVE_EPS:
-            return passive(loss, mis)
+            return passive(mis)
         coefs = romma_coefs(2.0 * xsq, float(np.sum(self.W * self.W)), margin)
         if coefs is None:
             dsq = _two_sided_row_update(self.W, x, y, [r], 1.0, 1.0, self.audit)
-            return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
-                              tau=1.0, mispredicted=mis)
+            return UpdateInfo(True, mis, dsq)
         c, g = coefs
         old = self.W.copy() if self.audit else None
         self.W *= c
@@ -215,8 +210,7 @@ class _MRommaBase(MulticlassLearner):
         if old is not None:
             delta = self.W - old
             dsq = float(np.sum(delta * delta))
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
-                          tau=g, mispredicted=mis)
+        return UpdateInfo(True, mis, dsq)
 
 
 class MROMMA(_MRommaBase):
@@ -250,18 +244,16 @@ class MAROW(_MSecondOrderBase):
     kind = "M_AROW"
 
     def step(self, x, y):
-        _, pred, r, margin, loss = self._margin_parts(x, y)
+        _, pred, r, _, loss = self._margin_parts(x, y)
         mis = pred != y
         if loss <= PASSIVE_EPS or x.squared_norm() <= PASSIVE_EPS:
-            return passive(loss, mis)
+            return passive(mis)
         sx, vx = sigma_x(self.sigma, x)
         v = 2.0 * vx
         if v <= PASSIVE_EPS:
-            return passive(loss, mis)
+            return passive(mis)
         alpha, beta = arow_step(loss, v, self.hp.arow_r)
-        dsq = self._commit(y, r, sx, alpha, 2.0 * beta)
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
-                          tau=alpha, mispredicted=mis)
+        return UpdateInfo(True, mis, self._commit(y, r, sx, alpha, 2.0 * beta))
 
 
 class MCW(_MSecondOrderBase):
@@ -273,17 +265,15 @@ class MCW(_MSecondOrderBase):
         self._phi = inv_norm_cdf(hp.cw_eta)
 
     def step(self, x, y):
-        _, pred, r, margin, hinge = self._margin_parts(x, y)
+        _, pred, r, margin, _ = self._margin_parts(x, y)
         mis = pred != y
         if x.squared_norm() <= PASSIVE_EPS:
-            return passive(hinge, mis)
+            return passive(mis)
         sx, vx = sigma_x(self.sigma, x)
-        loss, alpha, beta = cw_step(self.alpha_rule, margin, 2.0 * vx, self._phi, self.hp)
+        alpha, beta = cw_step(self.alpha_rule, margin, 2.0 * vx, self._phi, self.hp)
         if alpha <= 0.0:
-            return passive(loss, mis)
-        dsq = self._commit(y, r, sx, alpha, 2.0 * beta)
-        return UpdateInfo(loss=loss, triggered=True, delta_sq_norm=dsq,
-                          tau=alpha, mispredicted=mis)
+            return passive(mis)
+        return UpdateInfo(True, mis, self._commit(y, r, sx, alpha, 2.0 * beta))
 
 
 class MSCW1(MCW):

@@ -80,7 +80,7 @@ def _synth(instances, *, multiclass: bool = False, name: str = "synth"):
 
 def _rates(ds, algos, m_values, runs, **kw):
     res = run_benchmark(ds, algos, m_values, runs, 0,
-                        counting_mode=FIRST, stop_early=True, **kw)
+                        counting_mode=FIRST, **kw)
     return {(c.algorithm, c.m): c.mean["mistake_rate"] for c in res.cells}
 
 
@@ -145,8 +145,7 @@ def test_criterion_2_norm_bound_audit_sweep():
 
         def audit(ds, runs):
             nonlocal all_ok
-            res = run_benchmark(ds, "all", ALL_M, runs, 0, counting_mode=FIRST,
-                                stop_early=True, audit=True)
+            res = run_benchmark(ds, "all", ALL_M, runs, 0, counting_mode=FIRST, audit=True)
             all_ok = all_ok and res.audit_passed
             return (f"{ds.name}: {res.audited_instances} checks, "
                     f"min slack {res.audit_min_slack:.1e}")

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multiupdate.binary import BINARY_KINDS, make_binary
-from multiupdate.core import SparseVector
+from multiupdate.core import SparseVector, hinge_loss
 from multiupdate.errors import ConfigError
 from multiupdate.params import HyperParams
 
@@ -30,6 +30,17 @@ def vec(*pairs) -> SparseVector:
     idx = [i - 1 for i, _ in pairs]
     val = [v for _, v in pairs]
     return SparseVector(idx, val)
+
+
+def step_size(before: np.ndarray, after: np.ndarray, x: SparseVector, y: int,
+              direction: np.ndarray | None = None) -> float:
+    """The step read off the state: after = before + tau*y*direction, where
+    direction is x unless given (Sigma x for the confidence-weighted kinds)."""
+    u = np.zeros(len(before))
+    u[x.indices] = x.values
+    if direction is None:
+        direction = u
+    return y * float((after - before) @ u) / float(direction @ u)
 
 
 def audited(learner) -> np.ndarray:
@@ -110,10 +121,10 @@ class TestHandValues:
         learner = make_binary("PA", 2, HP)
         learner.begin_instance()
         x = vec((1, 2.0))
+        assert hinge_loss(+1, learner.score(x)) == 1.0
         info = learner.step(x, +1)
         assert info.triggered and info.mispredicted
-        assert info.loss == 1.0
-        assert info.tau == pytest.approx(0.25)
+        assert step_size(np.zeros(2), learner.w, x, +1) == pytest.approx(0.25)
         assert learner.w[0] == pytest.approx(0.5)
         assert learner.w[1] == 0.0
         assert info.delta_sq_norm == pytest.approx(0.25)
@@ -134,23 +145,24 @@ class TestHandValues:
     def test_pa1_caps_at_C(self):
         learner = make_binary("PA1", 1, HP.replace(C=0.1))
         learner.begin_instance()
-        info = learner.step(vec((1, 1.0)), +1)
-        assert info.tau == pytest.approx(0.1)
+        learner.step(vec((1, 1.0)), +1)
+        assert step_size(np.zeros(1), learner.w, vec((1, 1.0)), +1) == pytest.approx(0.1)
         assert learner.w[0] == pytest.approx(0.1)
 
     def test_pa2_damped_step(self):
         learner = make_binary("PA2", 1, HP.replace(C=1.0))
         learner.begin_instance()
-        info = learner.step(vec((1, 1.0)), +1)
-        assert info.tau == pytest.approx(2.0 / 3.0)
+        learner.step(vec((1, 1.0)), +1)
+        assert step_size(np.zeros(1), learner.w, vec((1, 1.0)), +1) == pytest.approx(2.0 / 3.0)
 
     def test_ogd_rate_uses_outer_clock(self):
         learner = make_binary("OGD", 1, HP.replace(eta0=1.0))
         for _ in range(4):
             learner.begin_instance()
         assert learner.t == 4
-        info = learner.step(vec((1, 1.0)), +1)
-        assert info.tau == pytest.approx(0.5)  # 1/sqrt(4)
+        learner.step(vec((1, 1.0)), +1)
+        # 1/sqrt(4)
+        assert step_size(np.zeros(1), learner.w, vec((1, 1.0)), +1) == pytest.approx(0.5)
         assert learner.w[0] == pytest.approx(0.5)
 
     def test_perceptron_passive_on_correct_sign(self):
@@ -165,10 +177,13 @@ class TestHandValues:
     def test_arow_closed_form(self):
         learner = make_binary("AROW", 3, HP.replace(arow_r=1.0))
         learner.begin_instance()
-        info = learner.step(vec((1, 1.0)), +1)
+        x = vec((1, 1.0))
+        assert hinge_loss(+1, learner.score(x)) == 1.0
+        sigma_x = learner.sigma[:, 0].copy()
+        info = learner.step(x, +1)
         assert info.triggered
-        assert info.loss == 1.0
-        assert info.tau == pytest.approx(0.5)       # alpha = loss * beta = 0.5
+        # alpha = loss * beta = 0.5, along the old Sigma x
+        assert step_size(np.zeros(3), learner.mu, x, +1, sigma_x) == pytest.approx(0.5)
         assert learner.mu[0] == pytest.approx(0.5)
         assert learner.mu[1] == 0.0
         assert learner.sigma[0, 0] == pytest.approx(0.5)
@@ -190,7 +205,8 @@ class TestHandValues:
         learner.begin_instance()
         info = learner.step(vec((1, 2.0)), +1)
         assert info.triggered
-        assert info.tau == 1.0          # plain additive step from w = 0
+        # plain additive step from w = 0
+        assert step_size(np.zeros(2), learner.w, vec((1, 2.0)), +1) == 1.0
         assert learner.w[0] == 2.0
 
     def test_cw_attains_confidence_margin(self):
@@ -245,12 +261,21 @@ class TestProperties:
            C=st.floats(min_value=1e-3, max_value=10.0))
     @settings(max_examples=80, deadline=None)
     def test_pa1_tau_bounded_by_C(self, w, x, y, C):
+        # the new state is w + tau*y*x with tau = min(C, loss/||x||^2), loss
+        # taken before the step, bit for bit: a step never exceeds C
         learner = make_binary("PA1", 6, HP.replace(C=C))
         learner.w[:] = w
         learner.begin_instance()
+        loss = hinge_loss(y, learner.score(x))
         info = learner.step(x, y)
         if info.triggered:
-            assert 0.0 <= info.tau <= C + 1e-15
+            tau = min(C, loss / x.squared_norm())
+            dense = np.zeros(6)
+            dense[x.indices] = x.values
+            assert 0.0 <= tau <= C
+            assert np.array_equal(learner.w, np.array(w) + tau * y * dense)
+        else:
+            assert np.array_equal(learner.w, np.array(w))
 
     @pytest.mark.parametrize("kind", MISTAKE_DRIVEN)
     @given(w=st.lists(finite, min_size=6, max_size=6), x=sparse_vec(),
@@ -380,3 +405,32 @@ def test_sop_inverse_path_matches_solve_path(monkeypatch):
             updates += 1
         assert np.max(np.abs(inverse._effective_w() - solve._effective_w())) <= 1e-12
     assert updates > 50
+
+
+def test_sop_sherman_morrison_path_through_the_engine(monkeypatch):
+    # d = 80 > _SOLVE_LIMIT: SOP keeps (S + aI)^-1 by rank-1 Sherman-Morrison
+    # updates. The solve path on the same seeded stream, run through the same
+    # m-cycle loop, is the reference for every instance's score and count.
+    from multiupdate.binary import SOP
+    from multiupdate.engine import LoopConfig, process_instance
+
+    d = 80
+    instances = separable_instances(150, d, seed=31, margin=0.05, noise=0.2)
+    inverse = make_binary("SOP", d, HP)
+    monkeypatch.setattr(SOP, "_SOLVE_LIMIT", d)
+    solve = make_binary("SOP", d, HP)
+    assert inverse._P is not None and solve._P is None
+
+    def sweep(learner):
+        scores, counts = [], []
+        for x, y in instances:
+            scores.append(learner.score(x))
+            counts.append(process_instance(learner, x, y, LoopConfig(m=4)).updates)
+        return np.array(scores), counts
+
+    inv_scores, inv_counts = sweep(inverse)
+    ref_scores, ref_counts = sweep(solve)
+    assert inv_counts == ref_counts
+    assert sum(inv_counts) > 50
+    assert not np.array_equal(inverse._P, np.eye(d) / HP.sop_a)
+    assert np.linalg.norm(inv_scores - ref_scores) <= 1e-10 * np.linalg.norm(ref_scores)

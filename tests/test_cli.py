@@ -70,12 +70,6 @@ class TestSuccess:
         assert rc == 0
         assert "mode: periter" in out
 
-    def test_no_early_stop_smoke(self, binary_file, capsys):
-        rc = run_cli("--data", binary_file, "--algos", "PA2", "--m", "3",
-                     "--runs", "1", "--no-early-stop")
-        assert rc == 0
-        assert "PA2" in capsys.readouterr().out
-
     def test_subsample_shrinks_dataset(self, binary_file, capsys):
         rc = run_cli("--data", binary_file, "--subsample", "20",
                      "--algos", "PA", "--m", "1", "--runs", "1")
@@ -118,6 +112,43 @@ class TestOutputFiles:
         row = json.loads(lines[0])
         assert {"algorithm", "m", "run", "instance", "mistake", "updates",
                 "sum_delta_sq", "w_star_norm", "w0_norm"} <= set(row)
+
+    def test_out_into_missing_directory_exits_1_before_the_sweep(
+            self, binary_file, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr("multiupdate.cli.run_benchmark",
+                            lambda *a, **k: calls.append(1))
+        rc = run_cli("--data", binary_file, "--algos", "PA", "--m", "1", "--runs", "1",
+                     "--out", str(tmp_path / "missing-dir" / "x.csv"))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert calls == []
+        assert captured.err.startswith("error: cannot write ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_out_file_is_replaced_only_by_a_finished_report(self, binary_file, tmp_path,
+                                                            capsys):
+        out = tmp_path / "report.csv"
+        old = "an older, longer report\n" * 20
+        out.write_text(old)
+        fresh = tmp_path / "fresh.csv"
+        common = ("--data", binary_file, "--m", "1", "--runs", "1", "--format", "csv")
+        assert run_cli(*common, "--algos", "Foo", "--out", str(out)) == 1
+        assert out.read_text() == old
+        assert run_cli(*common, "--algos", "PA", "--out", str(out)) == 0
+        assert run_cli(*common, "--algos", "PA", "--out", str(fresh)) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_trace_into_missing_directory_exits_1(self, binary_file, tmp_path, capsys):
+        out = tmp_path / "table.txt"
+        rc = run_cli("--data", binary_file, "--algos", "PA", "--m", "1", "--runs", "1",
+                     "--trace", str(tmp_path / "missing-dir" / "t.jsonl"), "--out", str(out))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: cannot write ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not (tmp_path / "missing-dir").exists()
 
     def test_set_override_changes_results(self, binary_file, tmp_path):
         base, tweaked = tmp_path / "base.csv", tmp_path / "tweaked.csv"

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiupdate.core import (PASSIVE_EPS, SparseVector, UpdateInfo, cw_alpha, cw_step,
-                              dense_add, downdate, hinge_loss, predict_linear, sparse_add)
+from multiupdate.core import (PASSIVE_EPS, SparseVector, cw_alpha, cw_step, dense_add,
+                              downdate, hinge_loss, predict_linear, sparse_add)
 from multiupdate.errors import DimensionMismatchError, NumericalDegeneracyError
 from multiupdate.params import HyperParams
 
@@ -92,19 +92,8 @@ class TestLosses:
         assert (ell == 0.0) == (y * s >= 1.0)
 
 
-class TestUpdateInfo:
-    def test_passive_must_be_zero_delta(self):
-        with pytest.raises(ValueError):
-            UpdateInfo(loss=1.0, triggered=False, delta_sq_norm=0.5)
-        with pytest.raises(ValueError):
-            UpdateInfo(loss=1.0, triggered=False, tau=0.1)
-
-    def test_passive_ok(self):
-        info = UpdateInfo(loss=0.0, triggered=False)
-        assert info.delta_sq_norm == 0.0
-
-    def test_eps_is_small(self):
-        assert 0.0 < PASSIVE_EPS <= 1e-12
+def test_passive_eps_is_small():
+    assert 0.0 < PASSIVE_EPS <= 1e-12
 
 
 class TestRowAdds:
@@ -168,8 +157,8 @@ class TestDowndate:
 class TestCwStep:
     @pytest.mark.parametrize("v", [-1.99e-22, -PASSIVE_EPS, -0.0, 0.0])
     def test_rounding_level_confidence_is_passive(self, v):
-        # |v| <= PASSIVE_EPS: no step, and the loss is that of v = 0
-        assert cw_step(cw_alpha, -0.5, v, 1.0, HyperParams()) == (0.5, 0.0, 0.0)
+        # |v| <= PASSIVE_EPS: no step, although the margin -0.5 falls short
+        assert cw_step(cw_alpha, -0.5, v, 1.0, HyperParams()) == (0.0, 0.0)
 
     @pytest.mark.parametrize("v", [-2.0 * PASSIVE_EPS, -1.0, float("nan")])
     def test_negative_or_nan_confidence_raises(self, v):

@@ -1,10 +1,11 @@
 """Inner-loop engine: cycle accounting, counting modes, early exit,
-and the accumulated-update norm bound."""
+the accumulated-update norm bound, and closed-form oracles of the m-cycle loop."""
 from __future__ import annotations
 
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multiupdate.binary import BINARY_KINDS, make_binary
-from multiupdate.core import SparseVector
+from multiupdate.core import SparseVector, hinge_loss
 from multiupdate.data import parse_text
 from multiupdate.engine import (
     CountingMode,
@@ -51,7 +52,6 @@ class TestLoopConfig:
         cfg = LoopConfig()
         assert cfg.m == 1
         assert cfg.counting_mode is CountingMode.FIRST_PREDICTION
-        assert cfg.stop_early
 
     def test_m_must_be_positive(self):
         with pytest.raises(ValueError, match="m must be"):
@@ -88,7 +88,7 @@ class TestProcessInstance:
         assert learner.t == 1
 
     def test_updates_bounded_by_m(self):
-        # PA2 never reaches the margin, so without early exit it updates
+        # PA2 never reaches the margin, so it never exits early and updates
         # every cycle: exactly m updates
         for m in (1, 2, 5):
             learner = make_binary("PA2", 1, HP)
@@ -99,15 +99,13 @@ class TestProcessInstance:
     def test_per_iteration_fraction_hand_case(self):
         # w = -0.65, x = 0.3: three mispredicted cycles drag w to +0.25,
         # the fourth predicts correctly
-        for stop_early in (True, False):
-            learner = make_binary("Perceptron", 1, HP)
-            learner.w[0] = -0.65
-            cfg = LoopConfig(m=4, counting_mode=CountingMode.PER_ITERATION,
-                             stop_early=stop_early)
-            record = process_instance(learner, vec((1, 0.3)), +1, cfg)
-            assert record.cycle_mispredictions == 3
-            assert record.updates == 3
-            assert learner.w[0] == pytest.approx(0.25)
+        learner = make_binary("Perceptron", 1, HP)
+        learner.w[0] = -0.65
+        cfg = LoopConfig(m=4, counting_mode=CountingMode.PER_ITERATION)
+        record = process_instance(learner, vec((1, 0.3)), +1, cfg)
+        assert record.cycle_mispredictions == 3
+        assert record.updates == 3
+        assert learner.w[0] == pytest.approx(0.25)
 
     def test_skipped_cycles_credit_repeat_mispredictions(self):
         # a zero vector mispredicts (score 0) but can never trigger: with
@@ -120,13 +118,15 @@ class TestProcessInstance:
 
     def test_ogd_rate_constant_within_instance(self):
         # advance the clock to t=4, then grind a persistent-loss instance:
-        # every inner cycle must use the same eta = 1/sqrt(4)
+        # every inner cycle must use the same eta = 1/sqrt(4), read off the
+        # change of w (x = 1/8, so every sum below is exact)
         learner = make_binary("OGD", 1, HP)
         for _ in range(4):
             learner.begin_instance()
-        infos = [learner.step(vec((1, 0.1)), +1) for _ in range(5)]
-        assert all(info.triggered for info in infos)
-        assert all(info.tau == 0.5 for info in infos)
+        for _ in range(5):
+            before = learner.w[0]
+            assert learner.step(vec((1, 0.125)), +1).triggered
+            assert (learner.w[0] - before) / 0.125 == 0.5
 
     def test_record_sums_cycle_deltas(self):
         # PA2 never reaches the margin, so all m cycles fire; the record keeps
@@ -141,6 +141,34 @@ class TestProcessInstance:
         assert record.sum_delta_sq == expected > 0.0
         assert record.w0_norm == 0.0
         assert record.w_star_norm == learner.primary_norm() == twin.primary_norm()
+
+
+def _summary(learner, records, stats):
+    """What early exit must leave unchanged: the statistics, every record's
+    counts and end norm, and the final state."""
+    return (stats.mistake_rate, stats.updates,
+            [(r.mistake, r.updates, r.cycle_mispredictions, r.w_star_norm) for r in records],
+            learner.primary_norm())
+
+
+def _all_cycles(learner, instances, cfg):
+    """_summary of a plain loop that runs all m cycles on every instance and
+    counts each cycle's misprediction itself, with no early exit."""
+    mistakes = 0.0
+    updates = 0
+    rows = []
+    for x, y in instances:
+        learner.begin_instance()
+        infos = [learner.step(x, y) for _ in range(cfg.m)]
+        wrong = sum(info.mispredicted for info in infos)
+        fired = sum(info.triggered for info in infos)
+        if cfg.counting_mode is CountingMode.PER_ITERATION:
+            mistakes += wrong / cfg.m
+        else:
+            mistakes += 1.0 if infos[0].mispredicted else 0.0
+        updates += fired
+        rows.append((infos[0].mispredicted, fired, wrong, learner.primary_norm()))
+    return mistakes / len(instances), float(updates), rows, learner.primary_norm()
 
 
 class TestRunSequence:
@@ -197,30 +225,19 @@ class TestRunSequence:
     @pytest.mark.parametrize("mode", list(CountingMode))
     def test_stop_early_is_a_no_op_binary(self, kind, mode):
         instances = separable_instances(40, 5, seed=11, margin=0.05, noise=0.15)
-        results = []
-        for stop_early in (True, False):
-            cfg = LoopConfig(m=4, counting_mode=mode, stop_early=stop_early)
-            learner, records, stats = run_sequence(kind, HP, instances, 5, cfg)
-            results.append((stats.mistake_rate, stats.updates,
-                            learner.primary_norm(),
-                            [(r.mistake, r.updates, r.cycle_mispredictions,
-                              r.w_star_norm) for r in records]))
-        assert results[0] == results[1]
+        cfg = LoopConfig(m=4, counting_mode=mode)
+        learner, records, stats = run_sequence(kind, HP, instances, 5, cfg)
+        assert _all_cycles(make_binary(kind, 5, HP), instances, cfg) == \
+            _summary(learner, records, stats)
 
     @pytest.mark.parametrize("kind", sorted(MULTICLASS_KINDS))
     @pytest.mark.parametrize("mode", list(CountingMode))
     def test_stop_early_is_a_no_op_multiclass(self, kind, mode):
         instances = blob_instances(40, 5, 3, seed=11, spread=2.0)
-        results = []
-        for stop_early in (True, False):
-            cfg = LoopConfig(m=4, counting_mode=mode, stop_early=stop_early)
-            learner, records, stats = run_sequence(kind, HP, instances, 5, cfg,
-                                                   num_classes=3)
-            results.append((stats.mistake_rate, stats.updates,
-                            learner.primary_norm(),
-                            [(r.mistake, r.updates, r.cycle_mispredictions,
-                              r.w_star_norm) for r in records]))
-        assert results[0] == results[1]
+        cfg = LoopConfig(m=4, counting_mode=mode)
+        learner, records, stats = run_sequence(kind, HP, instances, 5, cfg, num_classes=3)
+        assert _all_cycles(make_multiclass(kind, 3, 5, HP), instances, cfg) == \
+            _summary(learner, records, stats)
 
     @pytest.mark.parametrize("kind", ("PA", "OGD", "CW", "SOP"))
     def test_m1_matches_direct_single_step_loop(self, kind):
@@ -240,13 +257,16 @@ class TestRunSequence:
 
     @pytest.mark.parametrize("kind", ("PA", "PA1", "PA2"))
     def test_pa_inner_loss_non_increasing(self, kind):
-        # eight cycles per instance, as the engine runs them with m=8 and no
-        # early exit: one clock tick, then repeated steps on the same (x, y)
+        # eight cycles per instance, passive ones included: one clock tick,
+        # then repeated steps on the same (x, y)
         instances = separable_instances(80, 6, seed=6, margin=0.03, noise=0.2)
         learner = make_binary(kind, 6, HP)
         for x, y in instances:
             learner.begin_instance()
-            losses = [learner.step(x, y).loss for _ in range(8)]
+            losses = []
+            for _ in range(8):
+                losses.append(hinge_loss(y, learner.score(x)))
+                learner.step(x, y)
             for a, b in zip(losses, losses[1:]):
                 assert b <= a + 1e-12
 
@@ -484,3 +504,113 @@ class TestCycleOracles:
                 assert math.isnan(record.w0_norm) and math.isnan(record.w_star_norm)
             states.append(learner.w.tobytes())
         assert states[0] == states[1]
+
+    @given(inst=_dense_instance(-3.0, 3.0),
+           w=st.lists(st.floats(-5.0, 5.0), min_size=6, max_size=6), m=st.integers(1, 32))
+    @example(inst=(np.array([2.0, -1.0]), SparseVector([0, 1], [2.0, -1.0]), 1),
+             w=[0.0] * 6, m=4)
+    @settings(max_examples=80, deadline=None)
+    def test_perceptron_update_count(self, inst, w, m):
+        # each update adds y*x, raising y*s by ||x||^2, and the Perceptron
+        # fires while y*s <= 0: floor(-y*s0 / ||x||^2) + 1 updates from a
+        # mistake, none from a correct start, or the m-cycle cap comes first
+        x, xs, y = inst
+        w0 = np.array(w[:x.size])
+        steps = -y * float(w0 @ x) / float(x @ x)
+        # a score within rounding of 0 after some update is not decided here
+        assume(not w0.any() or abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)))
+        states = []
+        for audit in (True, False):
+            learner = make_binary("Perceptron", x.size, HP)
+            learner.audit = audit
+            learner.w[:] = w0
+            record = process_instance(learner, xs, y, LoopConfig(m=m))
+            assert record.updates == min(m, max(0, math.floor(steps) + 1))
+            states.append(learner.w.tobytes())
+        assert states[0] == states[1]
+
+    @given(inst=_dense_instance(-3.0, 3.0), loss0=st.floats(0.1, 2.0),
+           q=st.floats(0.001, 0.2), m=st.integers(1, 32))
+    @settings(max_examples=60, deadline=None)
+    def test_pa2_loss_shrinks_by_a_constant_factor(self, inst, loss0, q, m):
+        # tau = l / (||x||^2 + 1/2C) leaves the loss l * (1/2C) / (||x||^2 + 1/2C),
+        # the same factor rho on every cycle: l0 * rho^m after m cycles, all
+        # of which fire. C comes from q = 2C||x||^2, so rho = 1/(1 + q) and
+        # the loss stays far above the passive threshold.
+        x, xs, y = inst
+        xsq = float(x @ x)
+        C = q / (2.0 * xsq)
+        rho = (1.0 / (2.0 * C)) / (xsq + 1.0 / (2.0 * C))
+        w0 = (1.0 - loss0) / xsq * y * x
+        l0 = 1.0 - y * float(w0 @ x)
+        states = []
+        for audit in (True, False):
+            learner = make_binary("PA2", x.size, HP.replace(C=C))
+            learner.audit = audit
+            learner.w[:] = w0
+            record = process_instance(learner, xs, y, LoopConfig(m=m))
+            assert record.updates == record.cycles == m
+            assert 1.0 - y * float(learner.w @ x) == pytest.approx(l0 * rho ** m, rel=1e-10)
+            states.append(learner.w.tobytes())
+        assert states[0] == states[1]
+
+    @given(x=st.lists(st.integers(-24, 24), min_size=1, max_size=6),
+           w=st.lists(st.integers(-1024, 1024), min_size=6, max_size=6),
+           y=st.sampled_from((-1, 1)), eta0=st.integers(1, 64), j=st.integers(0, 3),
+           m=st.integers(1, 32))
+    @settings(max_examples=80, deadline=None)
+    def test_ogd_takes_the_same_step_every_cycle(self, x, w, y, eta0, j, m):
+        # eta = eta0/sqrt(t) follows the outer clock t, so every cycle of one
+        # instance moves w by the same eta*y*x and lowers the loss by
+        # eta*||x||^2, until the loss is gone or the cap m is reached. Dyadic
+        # data (x in 1/8ths, w0 in 1/256ths, eta0 in 1/64ths, t = 4^j) keep
+        # every sum exact, so the count and the state are checked exactly.
+        x = np.array(x) / 8.0
+        assume(x.any())
+        w0 = np.array(w[:x.size]) / 256.0
+        eta0, t = eta0 / 64.0, 4 ** j
+        eta = eta0 / 2 ** j
+        l0 = 1.0 - y * float(w0 @ x)
+        updates = min(m, max(0, math.ceil(Fraction(l0) / Fraction(eta * float(x @ x)))))
+        states = []
+        for audit in (True, False):
+            learner = make_binary("OGD", x.size, HP.replace(eta0=eta0))
+            learner.audit = audit
+            for _ in range(t - 1):
+                learner.begin_instance()
+            learner.w[:] = w0
+            record = process_instance(learner, SparseVector(range(x.size), x), y,
+                                      LoopConfig(m=m))
+            assert learner.t == t
+            assert record.updates == updates
+            assert np.array_equal(learner.w, w0 + updates * eta * y * x)
+            states.append(learner.w.tobytes())
+        assert states[0] == states[1]
+
+    @given(inst=_dense_instance(-3.0, 3.0), loss0=st.floats(0.1, 2.0), m=st.integers(1, 32))
+    @settings(max_examples=60, deadline=None)
+    def test_mpa_step_is_half_of_pa_on_the_k2_twin(self, inst, loss0, m):
+        # the K=2 twin of w0 has rows -w0/2 and w0/2, so its margin s_y - s_r
+        # equals y*<w0, x>; its update direction (x in row y, -x in row r)
+        # has squared norm 2||x||^2, so M_PA steps tau/2 where PA steps
+        # tau = l0/||x||^2. Each tau is read off the change of the state.
+        x, xs, y = inst
+        xsq = float(x @ x)
+        w0 = (1.0 - loss0) / xsq * y * x
+        l0 = 1.0 - y * float(w0 @ x)
+        label = 1 if y > 0 else 0
+        for audit in (True, False):
+            pa = make_binary("PA", x.size, HP)
+            twin = make_multiclass("M_PA", 2, x.size, HP)
+            pa.audit = twin.audit = audit
+            pa.w[:] = w0
+            twin.W[1], twin.W[0] = w0 / 2.0, -w0 / 2.0
+            W0 = twin.W.copy()
+            process_instance(pa, xs, y, LoopConfig(m=m))
+            process_instance(twin, xs, label, LoopConfig(m=m))
+            tau = y * float((pa.w - w0) @ x) / xsq
+            gain = float((twin.W[label] - W0[label]) @ x) / xsq
+            lose = -float((twin.W[1 - label] - W0[1 - label]) @ x) / xsq
+            assert tau == pytest.approx(l0 / xsq, rel=1e-12)
+            assert gain == pytest.approx(tau / 2.0, rel=1e-12)
+            assert lose == pytest.approx(tau / 2.0, rel=1e-12)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiupdate.binary import make_binary
-from multiupdate.core import SparseVector
+from multiupdate.core import SparseVector, hinge_loss
+from multiupdate.numerics import inv_norm_cdf
 from multiupdate.errors import ConfigError
 from multiupdate.multiclass import MULTICLASS_KINDS, make_multiclass
 from multiupdate.params import HyperParams
@@ -26,6 +27,23 @@ def vec(*pairs) -> SparseVector:
     idx = [i - 1 for i, _ in pairs]
     val = [v for _, v in pairs]
     return SparseVector(idx, val)
+
+
+def row_step(before: np.ndarray, after: np.ndarray, x: SparseVector,
+             direction: np.ndarray | None = None) -> float:
+    """The step a row took, read off the state: after = before + tau*direction,
+    where direction is x unless given (Sigma x for the shared-covariance kinds)."""
+    u = np.zeros(len(before))
+    u[x.indices] = x.values
+    if direction is None:
+        direction = u
+    return float((after - before) @ u) / float(direction @ u)
+
+
+def margin_loss(learner, x: SparseVector, y: int) -> float:
+    """Multiclass hinge max(0, 1 - (s_y - max_{c != y} s_c)) at the current state."""
+    s = learner.scores(x)
+    return max(0.0, 1.0 - (s[y] - np.delete(s, y).max()))
 
 
 class TestCatalog:
@@ -101,11 +119,11 @@ class TestHandValues:
         learner = make_multiclass("M_PA", 3, 1, HP)
         learner.begin_instance()
         x = vec((1, 1.0))
+        assert margin_loss(learner, x, 2) == 1.0
         info = learner.step(x, 2)
         assert info.triggered and info.mispredicted
-        assert info.loss == 1.0
         # effective squared norm is doubled: tau = 1 / (2*1)
-        assert info.tau == pytest.approx(0.5)
+        assert row_step(np.zeros(1), learner.W[2], x) == pytest.approx(0.5)
         assert learner.W[2, 0] == pytest.approx(0.5)
         assert learner.W[0, 0] == pytest.approx(-0.5)   # runner-up was class 0
         assert learner.W[1, 0] == 0.0
@@ -168,10 +186,11 @@ class TestHandValues:
         learner = make_multiclass("M_AROW", 3, 2, HP.replace(arow_r=1.0))
         learner.begin_instance()
         x = vec((1, 1.0))
+        sigma_x = learner.sigma[:, 0].copy()
         info = learner.step(x, 2)
         assert info.triggered
         # v = 2 * x^T Sigma x = 2; beta = 1/(2+1); alpha = loss * beta = 1/3
-        assert info.tau == pytest.approx(1.0 / 3.0)
+        assert row_step(np.zeros(2), learner.W[2], x, sigma_x) == pytest.approx(1.0 / 3.0)
         assert learner.W[2, 0] == pytest.approx(1.0 / 3.0)
         assert learner.W[0, 0] == pytest.approx(-1.0 / 3.0)
         # shared-Sigma decrement runs at twice beta: Sigma'_11 = 1 - 2/3
@@ -222,17 +241,22 @@ class TestInvariants:
         binary = make_binary("PA", 7, HP)
         multi = make_multiclass("M_PA", 2, 7, HP)
         for x, y in instances:
+            label = 0 if y < 0 else 1
             binary.begin_instance()
             multi.begin_instance()
             score = binary.score(x)
+            b_loss, m_loss = hinge_loss(y, score), margin_loss(multi, x, label)
+            w, W = binary.w.copy(), multi.W.copy()
             b_info = binary.step(x, y)
-            m_info = multi.step(x, 0 if y < 0 else 1)
+            m_info = multi.step(x, label)
             assert b_info.triggered == m_info.triggered
             # separate dot-product kernels (vector vs matrix) may differ by
             # an ulp, so exact bit equality is not promised across the two
-            assert m_info.loss == pytest.approx(b_info.loss, rel=1e-12, abs=1e-15)
+            assert m_loss == pytest.approx(b_loss, rel=1e-12, abs=1e-15)
             if b_info.triggered:
-                assert m_info.tau == pytest.approx(b_info.tau / 2.0, rel=1e-12)
+                tau = y * row_step(w, binary.w, x)
+                assert row_step(W[label], multi.W[label], x) == pytest.approx(tau / 2.0,
+                                                                             rel=1e-12)
             if score != 0.0:
                 assert b_info.mispredicted == m_info.mispredicted
         assert np.allclose(multi.W[1], -multi.W[0], atol=1e-12)
@@ -287,11 +311,21 @@ class TestInvariants:
         learner = make_multiclass("M_CW", 3, 2, HP)
         learner.begin_instance()
         x = vec((1, 1.0))
+        phi = inv_norm_cdf(HP.cw_eta)
+
+        def shortfall():
+            # CW loss of the difference vector against the current runner-up
+            s = learner.scores(x)
+            v = 2.0 * float(learner.sigma[0, 0])
+            return max(0.0, phi * np.sqrt(v) - (s[2] - max(s[0], s[1])))
+
+        first_loss = shortfall()
         first = learner.step(x, 2)
         assert first.triggered
+        second_loss = shortfall()
         second = learner.step(x, 2)
         assert second.triggered            # class 1 still sits at score 0
-        assert second.loss < first.loss
+        assert second_loss < first_loss
         third = learner.step(x, 2)
         for _ in range(20):
             if not third.triggered:
