@@ -37,7 +37,8 @@ CSV_METRICS = ("mistake_rate", "updates")
 
 
 def resolve_algorithms(spec: str | list[str], label_space: str) -> list[str]:
-    """Expand an --algos value ('all' or comma list) against the label space."""
+    """Expand an --algos value ('all' or comma list) against the label space;
+    a repeated name is kept once, at its first position."""
     catalog = BINARY_KINDS if label_space == BINARY_SPACE else MULTICLASS_KINDS
     other = MULTICLASS_KINDS if label_space == BINARY_SPACE else BINARY_KINDS
     if isinstance(spec, str):
@@ -54,7 +55,7 @@ def resolve_algorithms(spec: str | list[str], label_space: str) -> list[str]:
                 f"algorithm {name!r} does not match the dataset's {label_space} label space"
             )
         raise ConfigError(f"unknown algorithm {name!r} (valid for {label_space}: {list(catalog)})")
-    return names
+    return list(dict.fromkeys(names))
 
 
 @dataclass
@@ -156,6 +157,12 @@ def run_benchmark(dataset: Dataset, algorithms: list[str], m_values: list[int],
     for m in m_values:
         if m < 1:
             raise ConfigError(f"m values must be >= 1, got {m}")
+    if threads is None:
+        raw = os.environ.get("BENCH_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ConfigError(f"BENCH_THREADS must be an integer, got {raw!r}") from None
     hp = hp or HyperParams()
     algorithms = resolve_algorithms(algorithms, dataset.label_space)
 
@@ -169,8 +176,6 @@ def run_benchmark(dataset: Dataset, algorithms: list[str], m_values: list[int],
         log.debug("run %d permutation fingerprint %s (shared across all cells)", r, fp)
     sequences = [[instances[i] for i in perm] for perm in perms]
 
-    if threads is None:
-        threads = int(os.environ.get("BENCH_THREADS", "1"))
     threads = max(1, min(threads, runs))
 
     _CTX.update(

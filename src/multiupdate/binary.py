@@ -212,36 +212,23 @@ class SOP(BinaryLearner):
     """Second-order perceptron: v accumulates y*x on mistakes, S accumulates
     x x^T, and predictions use w = (S + a*I)^-1 v.
 
-    For small d the solve is done per prediction; above d=64 the inverse is
-    maintained incrementally (rank-1 Sherman-Morrison), which is the standard
-    large-d trade.
+    S itself is not stored: P = (S + a*I)^-1 starts at I/a and takes a
+    rank-1 Sherman-Morrison update on each mistake, after which w = P v is
+    recomputed. sigma_x gathers rows of P in place of columns, which relies
+    on P staying exactly symmetric; every update subtracts a multiple of an
+    outer product, so it does.
     """
 
     kind = "SOP"
-    _SOLVE_LIMIT = 64
 
     def __init__(self, d, hp):
         super().__init__(d, hp)
         self.v = np.zeros(d)
-        self._w = None
-        if d <= self._SOLVE_LIMIT:
-            self._S = np.zeros((d, d))
-            self._P = None
-        else:
-            self._S = None
-            self._P = np.eye(d) / hp.sop_a
-
-    def _effective_w(self) -> np.ndarray:
-        """w = (S + a*I)^-1 v, kept until the next update changes v and S."""
-        if self._w is None:
-            if self._P is not None:
-                self._w = self._P @ self.v
-            else:
-                self._w = np.linalg.solve(self._S + self.hp.sop_a * np.eye(self.d), self.v)
-        return self._w
+        self._w = np.zeros(d)
+        self._P = np.eye(d) / hp.sop_a
 
     def score(self, x):
-        return predict_linear(self._effective_w(), x)
+        return predict_linear(self._w, x)
 
     def primary_norm(self):
         return float(np.linalg.norm(self.v))
@@ -251,14 +238,9 @@ class SOP(BinaryLearner):
         if not mis or x.squared_norm() <= PASSIVE_EPS:
             return passive(mis)
         dsq = sparse_add(self.v, x, float(y), self.audit)
-        self._w = None
-        if self._P is not None:
-            px = self._P[:, x.indices] @ x.values
-            denom = 1.0 + float(px[x.indices] @ x.values)
-            self._P -= np.outer(px, px) / denom
-        else:
-            xi, xv = x.indices, x.values
-            self._S[np.ix_(xi, xi)] += np.outer(xv, xv)
+        px, q = sigma_x(self._P, x)
+        self._P -= np.outer(px, px) / (1.0 + q)
+        self._w = self._P @ self.v
         return UpdateInfo(True, mis, dsq)
 
 

@@ -268,12 +268,14 @@ def permute(n: int, seed: int) -> list[int]:
 
 
 def subsample(ds: Dataset, k: int, seed: int) -> Dataset:
-    """First k of a seeded permutation; falls back to per-class proportional
-    sampling if that loses a class.
+    """First k of a seeded permutation; falls back to per-class quotas only
+    if that loses a class.
 
-    The proportional fallback allocates round(k * n_c / n) per class (largest
-    remainder, at least 1 each) and takes the earliest entries of each class
-    in the permuted order, preserving that order overall.
+    The fallback gives each class the quota round(k * n_c / n), at least 1,
+    then trims or extends the quotas until they sum to k, working through the
+    classes from the largest down (each as far as it can go before the next
+    is touched). It takes the earliest entries of each class in the permuted
+    order, preserving that order overall.
     """
     n = ds.n
     if not 1 <= k <= n:

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multiupdate.binary import BINARY_KINDS, make_binary
-from multiupdate.core import SparseVector, hinge_loss
+from multiupdate.core import PASSIVE_EPS, SparseVector, hinge_loss
 from multiupdate.errors import ConfigError
 from multiupdate.params import HyperParams
 
@@ -344,9 +344,10 @@ class TestProperties:
         d = 12
         instances = separable_instances(120, d, seed=9, margin=0.05, noise=0.15)
         learner, _ = drive("SOP", instances, d)
-        mat = learner._S + HP.sop_a * np.eye(d)
-        assert np.allclose(mat, mat.T, atol=1e-10)
-        np.linalg.cholesky(mat)
+        # P = (S + aI)^-1 starts at I/a and only loses symmetric rank-1 terms
+        P = learner._P
+        assert np.array_equal(P, P.T)
+        np.linalg.cholesky(P)  # raises LinAlgError if not positive definite
 
     @pytest.mark.parametrize("kind", sorted(BINARY_KINDS))
     def test_delta_sq_norm_matches_state_change(self, kind):
@@ -365,72 +366,31 @@ class TestProperties:
         assert triggered > 0, f"{kind} never updated on the noisy stream"
 
 
-def test_sop_cached_w_matches_fresh_solve():
-    # SOP keeps its effective w between updates; after every cycle the kept
-    # w must be exactly what solving the current state gives
-    d = 8
-    instances = separable_instances(60, d, seed=4, margin=0.05, noise=0.2)
-    learner = make_binary("SOP", d, HP)
-    updates = 0
-    for x, y in instances:
-        learner.begin_instance()
-        for _ in range(2):
-            updates += learner.step(x, y).triggered
-            fresh = np.linalg.solve(learner._S + HP.sop_a * np.eye(d), learner.v)
-            assert np.array_equal(learner._effective_w(), fresh)
-    assert updates > 5
-
-
-def test_sop_inverse_path_matches_solve_path(monkeypatch):
-    # Above _SOLVE_LIMIT SOP keeps a Sherman-Morrison inverse instead of
-    # solving per prediction; raising the limit runs the solve path on the
-    # same d so both can be compared cycle by cycle.
-    from multiupdate.binary import SOP
-
-    d = 70
-    instances = separable_instances(200, d, seed=21, margin=0.05, noise=0.2)
-    inverse = make_binary("SOP", d, HP)
-    monkeypatch.setattr(SOP, "_SOLVE_LIMIT", d)
-    solve = make_binary("SOP", d, HP)
-    assert inverse._P is not None and solve._P is None
-    updates = 0
-    for x, y in instances:
-        inverse.begin_instance()
-        solve.begin_instance()
-        for _ in range(3):
-            a, b = inverse.step(x, y), solve.step(x, y)
-            assert (a.triggered, a.mispredicted) == (b.triggered, b.mispredicted)
-            if not a.triggered:
-                break
-            updates += 1
-        assert np.max(np.abs(inverse._effective_w() - solve._effective_w())) <= 1e-12
-    assert updates > 50
-
-
-def test_sop_sherman_morrison_path_through_the_engine(monkeypatch):
-    # d = 80 > _SOLVE_LIMIT: SOP keeps (S + aI)^-1 by rank-1 Sherman-Morrison
-    # updates. The solve path on the same seeded stream, run through the same
-    # m-cycle loop, is the reference for every instance's score and count.
-    from multiupdate.binary import SOP
+@pytest.mark.parametrize("d", (8, 80))
+def test_sop_matches_plain_solve_reference(d):
+    # SOP keeps P = (S + aI)^-1 by Sherman-Morrison updates. A plain SOP that
+    # accumulates S and solves (S + aI) w = v after each update, run through
+    # the same m-cycle loop on the same stream, is the reference for every
+    # instance's update count and for the weight vector after it.
     from multiupdate.engine import LoopConfig, process_instance
 
-    d = 80
+    m = 4
     instances = separable_instances(150, d, seed=31, margin=0.05, noise=0.2)
-    inverse = make_binary("SOP", d, HP)
-    monkeypatch.setattr(SOP, "_SOLVE_LIMIT", d)
-    solve = make_binary("SOP", d, HP)
-    assert inverse._P is not None and solve._P is None
-
-    def sweep(learner):
-        scores, counts = [], []
-        for x, y in instances:
-            scores.append(learner.score(x))
-            counts.append(process_instance(learner, x, y, LoopConfig(m=4)).updates)
-        return np.array(scores), counts
-
-    inv_scores, inv_counts = sweep(inverse)
-    ref_scores, ref_counts = sweep(solve)
-    assert inv_counts == ref_counts
-    assert sum(inv_counts) > 50
-    assert not np.array_equal(inverse._P, np.eye(d) / HP.sop_a)
-    assert np.linalg.norm(inv_scores - ref_scores) <= 1e-10 * np.linalg.norm(ref_scores)
+    learner = make_binary("SOP", d, HP)
+    v, S, w = np.zeros(d), np.zeros((d, d)), np.zeros(d)
+    total = 0
+    for x, y in instances:
+        u = np.zeros(d)
+        u[x.indices] = x.values
+        expected = 0
+        for _ in range(m):
+            if y * float(w @ u) > 0 or float(u @ u) <= PASSIVE_EPS:
+                break
+            v += y * u
+            S += np.outer(u, u)
+            w = np.linalg.solve(S + HP.sop_a * np.eye(d), v)
+            expected += 1
+        assert process_instance(learner, x, y, LoopConfig(m=m)).updates == expected
+        assert np.linalg.norm(learner._w - w) <= 1e-12 * np.linalg.norm(w)
+        total += expected
+    assert total > 50

@@ -92,6 +92,13 @@ class TestOutputFiles:
         assert lines[1].startswith("PA,1,mistake_rate,")
         assert not any("cpu" in line for line in lines)
 
+    def test_repeated_algorithm_runs_once(self, binary_file, tmp_path):
+        args = ("--data", binary_file, "--m", "1,2", "--runs", "2", "--format", "csv")
+        twice, once = tmp_path / "twice.csv", tmp_path / "once.csv"
+        assert run_cli(*args, "--algos", "PA1,PA1", "--out", str(twice)) == 0
+        assert run_cli(*args, "--algos", "PA1", "--out", str(once)) == 0
+        assert twice.read_bytes() == once.read_bytes()
+
     def test_table_out_file(self, binary_file, tmp_path, capsys):
         out = tmp_path / "report.txt"
         rc = run_cli("--data", binary_file, "--algos", "PA", "--m", "1",
@@ -349,6 +356,15 @@ class TestExitCodes:
     def test_subsample_too_large(self, binary_file, capsys):
         rc = run_cli("--data", binary_file, "--subsample", "999", "--runs", "1")
         assert rc == 2
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""], ids=["word", "float", "empty"])
+    def test_non_integer_bench_threads(self, binary_file, monkeypatch, capsys, value):
+        monkeypatch.setenv("BENCH_THREADS", value)
+        rc = run_cli("--data", binary_file, "--algos", "PA1", "--m", "1", "--runs", "2")
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: BENCH_THREADS must be an integer, got {value!r}\n"
+        assert captured.out == ""
 
     def test_usage_errors_from_click(self, binary_file, capsys):
         assert main(["bench"]) == 1                       # missing --data

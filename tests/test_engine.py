@@ -614,3 +614,54 @@ class TestCycleOracles:
             assert tau == pytest.approx(l0 / xsq, rel=1e-12)
             assert gain == pytest.approx(tau / 2.0, rel=1e-12)
             assert lose == pytest.approx(tau / 2.0, rel=1e-12)
+
+    @given(inst=_dense_instance(-2.0, 2.0), C=st.floats(0.01, 1.0), m=st.integers(1, 32))
+    @settings(max_examples=80, deadline=None)
+    def test_mpa1_update_count_on_the_k2_twin(self, inst, C, m):
+        # from W = 0 the loss is 1; a capped step moves row y by C*x and row r
+        # by -C*x, raising the margin by 2C||x||^2, and the step that would
+        # overshoot lands on the margin: ceil(1 / (2C||x||^2)) steps end the
+        # loss, or the m-cycle cap comes first
+        x, xs, y = inst
+        label = 1 if y > 0 else 0
+        steps = 1.0 / (2.0 * C * float(x @ x))
+        # whether a loss left at rounding level re-triggers is not decided here
+        assume(abs(steps - round(steps)) > 1e-9 * steps)
+        states = []
+        for audit in (True, False):
+            learner = make_multiclass("M_PA1", 2, x.size, HP.replace(C=C))
+            learner.audit = audit
+            record = process_instance(learner, xs, label, LoopConfig(m=m))
+            assert record.updates == min(m, math.ceil(steps))
+            if not audit:
+                assert record.sum_delta_sq == 0.0
+                assert math.isnan(record.w0_norm) and math.isnan(record.w_star_norm)
+            states.append(learner.W.tobytes())
+        assert states[0] == states[1]
+
+    @given(inst=_dense_instance(-3.0, 3.0), loss0=st.floats(0.1, 2.0),
+           q=st.floats(0.0005, 0.1), m=st.integers(1, 32))
+    @settings(max_examples=60, deadline=None)
+    def test_mpa2_loss_shrinks_by_a_constant_factor_on_the_k2_twin(self, inst, loss0, q, m):
+        # on the difference vector (squared norm 2||x||^2) tau = l / (2||x||^2
+        # + 1/2C) leaves the loss l / (1 + 4C||x||^2) on every cycle: l0 * rho^m
+        # after m cycles, all of which fire. C comes from q = 2C||x||^2, so
+        # rho = 1/(1 + 2q) and the loss stays far above the passive threshold.
+        x, xs, y = inst
+        label = 1 if y > 0 else 0
+        xsq = float(x @ x)
+        C = q / (2.0 * xsq)
+        rho = 1.0 / (1.0 + 4.0 * C * xsq)
+        row0 = (1.0 - loss0) / xsq * x
+        states = []
+        for audit in (True, False):
+            learner = make_multiclass("M_PA2", 2, x.size, HP.replace(C=C))
+            learner.audit = audit
+            learner.W[label] = row0
+            l0 = 1.0 - float(learner.W[label] @ x - learner.W[1 - label] @ x)
+            record = process_instance(learner, xs, label, LoopConfig(m=m))
+            assert record.updates == record.cycles == m
+            loss = 1.0 - float(learner.W[label] @ x - learner.W[1 - label] @ x)
+            assert loss == pytest.approx(l0 * rho ** m, rel=1e-10)
+            states.append(learner.W.tobytes())
+        assert states[0] == states[1]
