@@ -6,10 +6,11 @@ shared by every (algorithm, m) cell so columns stay comparable. Cells
 aggregate mistake rate, update count, and per-run thread-CPU seconds as
 mean +/- sample std (n-1 denominator; 0 when R = 1).
 
-Runs may execute in parallel (BENCH_THREADS / the threads argument) — each
-run owns its learner and the aggregation is by run index, so parallel and
-serial invocations emit identical numbers; cpu_seconds is thread time and
-does not see the scheduling.
+The sweep is one ordered stream of (algorithm, m, run) tasks, mapped once,
+serially or through one process pool (BENCH_THREADS / the threads argument),
+and consumed in task order, R results per cell. Each run owns its learner, so
+pooled and serial sweeps emit identical numbers, audit totals and trace bytes;
+cpu_seconds is thread time and does not see the scheduling.
 """
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 
 from .binary import BINARY_KINDS
 from .data import BINARY_SPACE, Dataset, as_learning_instances, permute
-from .engine import (CountingMode, LoopConfig, RunStats, check_norm_bound, run_sequence,
-                     trace_records, write_trace)
+from .engine import (CountingMode, LoopConfig, check_norm_bound, run_sequence, trace_records,
+                     write_trace)
 from .errors import ConfigError, NumericalDegeneracyError
 from .multiclass import MULTICLASS_KINDS
 from .params import HyperParams
@@ -119,11 +120,10 @@ _CTX: dict = {}
 
 
 def _run_one(kind: str, m: int, run_index: int):
-    sequences = _CTX["sequences"]
     cfg = LoopConfig(m=m, counting_mode=_CTX["counting_mode"])
     try:
         _, records, stats = run_sequence(
-            kind, _CTX["hp"], sequences[run_index], _CTX["d"], cfg,
+            kind, _CTX["hp"], _CTX["sequences"][run_index], _CTX["d"], cfg,
             num_classes=_CTX["num_classes"], audit=_CTX["audit"] or _CTX["want_trace"],
         )
     except NumericalDegeneracyError as exc:
@@ -131,18 +131,16 @@ def _run_one(kind: str, m: int, run_index: int):
     audit_summary = None
     if _CTX["audit"]:
         report = check_norm_bound(records, m)
-        audit_summary = (
-            len(report.instances),
-            report.min_slack,
-            [(b.index, b.lhs, b.rhs) for b in report.failures],
-        )
+        audit_summary = (len(report.instances), report.min_slack,
+                         [AuditFailure(kind, m, run_index, b.index, b.lhs, b.rhs)
+                          for b in report.failures])
     lines = None
     if _CTX["want_trace"]:
         lines = trace_records(records, algorithm=kind, m=m, run=run_index)
     return stats, audit_summary, lines
 
 
-def run_benchmark(dataset: Dataset, algorithms: list[str], m_values: list[int],
+def run_benchmark(dataset: Dataset, algorithms: str | list[str], m_values: list[int],
                   runs: int, base_seed: int, *,
                   counting_mode: CountingMode = CountingMode.FIRST_PREDICTION,
                   hp: HyperParams | None = None,
@@ -176,7 +174,7 @@ def run_benchmark(dataset: Dataset, algorithms: list[str], m_values: list[int],
         log.debug("run %d permutation fingerprint %s (shared across all cells)", r, fp)
     sequences = [[instances[i] for i in perm] for perm in perms]
 
-    threads = max(1, min(threads, runs))
+    threads = max(1, min(threads, runs, os.cpu_count() or 1))
 
     _CTX.update(
         sequences=sequences, d=dataset.d, num_classes=num_classes, hp=hp,
@@ -188,38 +186,35 @@ def run_benchmark(dataset: Dataset, algorithms: list[str], m_values: list[int],
         counting_mode=counting_mode, permutation_fingerprints=fingerprints,
     )
 
+    cells = [(kind, m) for kind in algorithms for m in sorted(set(m_values))]
     pool = None
     try:
         if threads > 1:
             import multiprocessing
             pool = ProcessPoolExecutor(max_workers=threads,
                                        mp_context=multiprocessing.get_context("fork"))
-        for kind in algorithms:
-            for m in sorted(set(m_values)):
-                if pool is not None:
-                    outputs = list(pool.map(_run_one, [kind] * runs, [m] * runs, range(runs)))
-                else:
-                    outputs = [_run_one(kind, m, r) for r in range(runs)]
-                per_run: list[RunStats] = [o[0] for o in outputs]
-                cell = CellSummary(algorithm=kind, m=m, mean={}, std={})
-                for metric in METRICS:
-                    mean, std = _mean_std([getattr(s, metric) for s in per_run])
-                    cell.mean[metric] = mean
-                    cell.std[metric] = std
-                result.cells.append(cell)
-                for r, (_, audit_summary, lines) in enumerate(outputs):
-                    if audit_summary is not None:
-                        checked, min_slack, failures = audit_summary
-                        result.audited_instances += checked
-                        result.audit_min_slack = min(result.audit_min_slack, min_slack)
-                        for idx, lhs, rhs in failures:
-                            result.audit_failures.append(
-                                AuditFailure(kind, m, r, idx, lhs, rhs))
-                    if lines is not None:
-                        write_trace(trace_fh, lines)
+        # consumed in task order, so CSV, audit and trace rows keep cell order
+        tasks = [(kind, m, r) for kind, m in cells for r in range(runs)]
+        outputs = (map if pool is None else pool.map)(_run_one, *zip(*tasks))
+        for kind, m in cells:
+            per_run = [next(outputs) for _ in range(runs)]
+            cell = CellSummary(algorithm=kind, m=m, mean={}, std={})
+            for metric in METRICS:
+                cell.mean[metric], cell.std[metric] = _mean_std(
+                    [getattr(stats, metric) for stats, _, _ in per_run])
+            result.cells.append(cell)
+            for _, audit_summary, lines in per_run:
+                if audit_summary is not None:
+                    checked, min_slack, failures = audit_summary
+                    result.audited_instances += checked
+                    result.audit_min_slack = min(result.audit_min_slack, min_slack)
+                    result.audit_failures.extend(failures)
+                if lines is not None:
+                    write_trace(trace_fh, lines)
     finally:
         if pool is not None:
-            pool.shutdown()
+            # a failed run must not wait for the queued tasks of later cells
+            pool.shutdown(cancel_futures=True)
         _CTX.clear()
     return result
 

@@ -3,15 +3,16 @@
     multiupdate bench --data a9a --algos PA1,OGD --m 1,2,4 --runs 20 --seed 7
 
 Exit codes: 0 success, 1 configuration/usage error (including an --out or
---trace path that cannot be opened for writing), 2 data error, 3 norm-bound
-audit failure, 4 numerical degeneracy (a second-order learner's covariance
-lost positive definiteness on this data).
+--trace path that cannot be opened for writing, or the same path for both),
+2 data error, 3 norm-bound audit failure, 4 numerical degeneracy (a
+second-order learner's covariance lost positive definiteness on this data).
 """
 from __future__ import annotations
 
 import contextlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -144,6 +145,9 @@ def bench(ctx: click.Context, **params) -> None:
     if not 0 <= int(params["seed"]) < 2 ** 64:
         raise ConfigError("--seed must fit in an unsigned 64-bit integer")
     m_values = _parse_m_list(str(params["m_list"]))
+    if params["out"] and params["trace"] and (
+            os.path.realpath(params["out"]) == os.path.realpath(params["trace"])):
+        raise ConfigError(f"--out and --trace name the same file {params['out']}")
     hp = HyperParams().replace(**_parse_overrides(tuple(params["set_"])))
 
     dataset = normalize_labels(load_dataset(params["data"]))

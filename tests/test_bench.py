@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 
 import pytest
 
@@ -16,8 +17,8 @@ from multiupdate.bench import (
 )
 from multiupdate.binary import BINARY_KINDS
 from multiupdate.data import parse_text
-from multiupdate.engine import CountingMode
-from multiupdate.errors import ConfigError
+from multiupdate.engine import BoundReport, CountingMode, InstanceBound
+from multiupdate.errors import ConfigError, NumericalDegeneracyError
 from multiupdate.multiclass import MULTICLASS_KINDS
 
 from conftest import blob_instances, instances_to_text, separable_instances
@@ -158,20 +159,87 @@ class TestProtocol:
         lines = out.read_text().splitlines()
         assert len(lines) == 60 * 2 * 2   # instances x runs x cells
 
-    def test_parallel_matches_serial(self, binary_ds):
-        kwargs = dict(algorithms=["PA", "OGD", "CW"], m_values=[1, 2],
-                      runs=4, base_seed=3, audit=True)
-        serial = run_benchmark(binary_ds, threads=1, **kwargs)
-        parallel = run_benchmark(binary_ds, threads=3, **kwargs)
+    @pytest.mark.parametrize("space, algorithms", [("binary", ["PA", "OGD", "CW"]),
+                                                   ("multiclass", ["M_PA1", "M_CW", "M_AROW"])],
+                             ids=["binary", "multiclass"])
+    def test_parallel_matches_serial(self, binary_ds, space, algorithms, monkeypatch):
+        ds = binary_ds if space == "binary" else _stand_in(space)
+        # a halved bound fails some instances of some runs, so the failure
+        # lists carry (kind, m, run) order; the forked workers inherit it
+        check = bench.check_norm_bound
+
+        def halved(records, m):
+            return BoundReport([InstanceBound(b.index, b.lhs, b.rhs / 2, b.rhs / 2 - b.lhs)
+                                for b in check(records, m).instances])
+
+        monkeypatch.setattr(bench, "check_norm_bound", halved)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)   # a pool on any machine
+        kwargs = dict(algorithms=algorithms, m_values=[1, 2], runs=4, base_seed=3, audit=True)
+        traces = io.StringIO(), io.StringIO()
+        serial = run_benchmark(ds, threads=1, trace_fh=traces[0], **kwargs)
+        parallel = run_benchmark(ds, threads=3, trace_fh=traces[1], **kwargs)
         # cpu time differs in noise; everything deterministic must match
         assert emit(serial, "csv") == emit(parallel, "csv")
         assert serial.audited_instances == parallel.audited_instances
         assert serial.audit_min_slack == parallel.audit_min_slack
+        assert serial.audit_failures == parallel.audit_failures
+        # every failure is labelled with the (kind, m, run) that produced it
+        assert {(f.algorithm, f.m, f.run) for f in serial.audit_failures} == {
+            (kind, m, r) for kind in algorithms for m in (1, 2) for r in range(4)}
+        assert traces[0].getvalue() and traces[0].getvalue() == traces[1].getvalue()
 
     def test_threads_env_fallback(self, binary_ds, monkeypatch):
         monkeypatch.setenv("BENCH_THREADS", "2")
         result = run_benchmark(binary_ds, ["PA"], [1], runs=2, base_seed=0)
         assert len(result.cells) == 1   # smoke: env path executes
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """Stand in for the process pool on a 2-CPU machine; tasks run in-process."""
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers, mp_context=None):
+            self.max_workers = max_workers
+            self.shutdown_kwargs = None
+            pools.append(self)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, **kwargs):
+            self.shutdown_kwargs = kwargs
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return pools
+
+
+class TestPool:
+    @pytest.mark.parametrize("runs, workers", [(3, [2]), (1, [])])
+    def test_workers_capped_at_cpu_count_and_runs(self, binary_ds, monkeypatch, fake_pools,
+                                                  runs, workers):
+        monkeypatch.setenv("BENCH_THREADS", "5000")
+        result = run_benchmark(binary_ds, ["PA", "CW"], [1, 2], runs=runs, base_seed=0)
+        assert len(result.cells) == 4
+        assert [p.max_workers for p in fake_pools] == workers
+        assert all(p.shutdown_kwargs == {"cancel_futures": True} for p in fake_pools)
+
+    def test_failing_run_shuts_down_with_cancel_futures(self, binary_ds, monkeypatch, fake_pools):
+        run_sequence = bench.run_sequence
+
+        def degenerate_cw_at_m2(kind, hp, sequence, d, cfg, **kwargs):
+            if kind == "CW" and cfg.m == 2:
+                raise NumericalDegeneracyError("covariance lost positive definiteness")
+            return run_sequence(kind, hp, sequence, d, cfg, **kwargs)
+
+        monkeypatch.setattr(bench, "run_sequence", degenerate_cw_at_m2)
+        with pytest.raises(NumericalDegeneracyError, match="^CW m=2 run=0: covariance"):
+            run_benchmark(binary_ds, ["PA", "CW", "OGD"], [1, 2], runs=3, base_seed=0,
+                          threads=5000)
+        assert [p.max_workers for p in fake_pools] == [2]
+        assert fake_pools[0].shutdown_kwargs == {"cancel_futures": True}
 
 
 def _stand_in(space: str):

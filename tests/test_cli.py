@@ -157,6 +157,22 @@ class TestOutputFiles:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert not (tmp_path / "missing-dir").exists()
 
+    @pytest.mark.parametrize("alias", ["same-path", "symlink"])
+    def test_out_and_trace_on_one_file_exits_1(self, binary_file, tmp_path, capsys, alias):
+        report = tmp_path / "report.csv"
+        report.write_bytes(b"an older report\n")
+        trace = report
+        if alias == "symlink":
+            trace = tmp_path / "link.jsonl"
+            trace.symlink_to(report)
+        rc = run_cli("--data", binary_file, "--algos", "PA", "--m", "1", "--runs", "1",
+                     "--out", str(report), "--trace", str(trace))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: --out and --trace name the same file {report}\n"
+        assert "Traceback" not in captured.err
+        assert report.read_bytes() == b"an older report\n"
+
     def test_set_override_changes_results(self, binary_file, tmp_path):
         base, tweaked = tmp_path / "base.csv", tmp_path / "tweaked.csv"
         args = ("--data", binary_file, "--algos", "PA1", "--m", "1",

@@ -639,6 +639,39 @@ class TestCycleOracles:
             states.append(learner.W.tobytes())
         assert states[0] == states[1]
 
+    @given(inst=_dense_instance(-3.0, 3.0), scales=st.lists(st.floats(0.1, 10.0),
+                                                           min_size=6, max_size=6),
+           loss0=st.floats(0.1, 2.0), ratio=st.floats(0.01, 2.0), m=st.integers(1, 32))
+    @settings(max_examples=60, deadline=None)
+    def test_marow_follows_arow_with_doubled_confidence_on_the_k2_twin(self, inst, scales,
+                                                                       loss0, ratio, m):
+        # rows W[y] = -W[r] = (1 - l0)/(2||x||^2) x have the margin 1 - l0; the
+        # difference vector sees the shared Sigma as v = 2x^T Sigma x, and the
+        # doubled rank-1 decrement maps v -> v*r/(v+r) while the loss goes
+        # l -> l*r/(v+r), AROW's recursion with v0 = 2x^T Sigma0 x: after k
+        # cycles l_k = l0/(1 + k*v0/r) and v_k = v0/(1 + k*v0/r), all firing
+        x, xs, y = inst
+        label = 1 if y > 0 else 0
+        sigma0 = np.diag(scales[:x.size])
+        row0 = (1.0 - loss0) / (2.0 * float(x @ x)) * x
+        v0 = 2.0 * float(x @ sigma0 @ x)
+        r = v0 / ratio
+        shrink = 1.0 + m * v0 / r
+        states = []
+        for audit in (True, False):
+            learner = make_multiclass("M_AROW", 2, x.size, HP.replace(arow_r=r))
+            learner.audit = audit
+            learner.W[label], learner.W[1 - label] = row0, -row0
+            learner.sigma[:] = sigma0
+            l0 = 1.0 - float(learner.W[label] @ x - learner.W[1 - label] @ x)
+            record = process_instance(learner, xs, label, LoopConfig(m=m))
+            assert record.updates == record.cycles == m
+            loss = 1.0 - float(learner.W[label] @ x - learner.W[1 - label] @ x)
+            assert loss == pytest.approx(l0 / shrink, rel=1e-12)
+            assert 2.0 * float(x @ learner.sigma @ x) == pytest.approx(v0 / shrink, rel=1e-12)
+            states.append((learner.W.tobytes(), learner.sigma.tobytes()))
+        assert states[0] == states[1]
+
     @given(inst=_dense_instance(-3.0, 3.0), loss0=st.floats(0.1, 2.0),
            q=st.floats(0.0005, 0.1), m=st.integers(1, 32))
     @settings(max_examples=60, deadline=None)
