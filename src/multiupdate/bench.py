@@ -21,6 +21,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .binary import BINARY_KINDS
 from .data import BINARY_SPACE, Dataset, as_learning_instances, permute
 from .engine import (CountingMode, LoopConfig, check_norm_bound, run_sequence, trace_records,
@@ -107,10 +109,8 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 
 def _fingerprint(perm: list[int]) -> str:
-    h = hashlib.sha1()
-    for i in perm:
-        h.update(i.to_bytes(8, "little"))
-    return h.hexdigest()[:12]
+    """The first 12 hex digits of the SHA-1 of perm as little-endian uint64s."""
+    return hashlib.sha1(np.asarray(perm, dtype="<u8").tobytes()).hexdigest()[:12]
 
 
 # Worker context for process-pool runs: populated in the parent before the

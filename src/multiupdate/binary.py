@@ -1,24 +1,11 @@
-"""Binary classification catalog: sixteen online learners behind one contract.
-
-Every learner exposes
-
-    begin_instance()          advance the outer clock (once per instance)
-    score(x) -> float         current prediction score <w_eff, x>
-    step(x, y) -> UpdateInfo  one predict -> maybe-update cycle
-    primary_norm() -> float   L2 norm of the audited state vector
-
-step() reports only what the engine reads: whether the cycle fired, whether
-its pre-update prediction was wrong, and the squared change of the audited
-vector. It is deterministic, so once a cycle reports triggered=False every
-further cycle on the same (x, y) is a no-op; the engine therefore always
-stops an instance at its first passive cycle.
+"""Binary classification catalog: sixteen online learners behind the
+core.Learner contract, each adding score(x) -> float, the current
+prediction score <w_eff, x>.
 
 The audited state vector (whose per-cycle change is reported in
 delta_sq_norm and whose norm primary_norm() returns) is w for first-order
 kinds, the mean mu for the confidence-weighted family, and the accumulator v
-for the second-order perceptron. Measuring norms and deltas on the same
-vector makes the accumulated-update norm bound hold on traces by
-construction.
+for the second-order perceptron.
 """
 from __future__ import annotations
 
@@ -26,9 +13,10 @@ import math
 
 import numpy as np
 
-from .core import (PASSIVE_EPS, SparseVector, UpdateInfo, arow_step, cw_alpha, cw_step,
-                   dense_add, downdate, hinge_loss, ogd_tau, pa1_tau, pa2_tau, pa_tau, passive,
-                   predict_linear, romma_coefs, scw1_alpha, scw2_alpha, sigma_x, sparse_add)
+from .core import (PASSIVE_EPS, Learner, SparseVector, UpdateInfo, arow_step, cw_alpha,
+                   cw_step, dense_add, downdate, hinge_loss, ogd_tau, pa1_tau, pa2_tau, pa_tau,
+                   passive, predict_linear, romma_coefs, scw1_alpha, scw2_alpha, sigma_x,
+                   sparse_add)
 from .errors import ConfigError
 from .numerics import inv_norm_cdf
 from .params import HyperParams
@@ -42,31 +30,10 @@ def _sq_change(w: np.ndarray, old: np.ndarray | None) -> float:
     return float(delta @ delta)
 
 
-class BinaryLearner:
-    """Base: holds the dimension, hyperparameters, and the outer-instance clock t."""
-
-    kind: str = "?"
-    audit: bool = True
-    """Whether step() measures delta_sq_norm; False reports 0.0 instead.
-    The engine sets it once per run, from whether anything reads the audit."""
-
-    def __init__(self, d: int, hp: HyperParams):
-        if d < 1:
-            raise ConfigError("learner dimension must be >= 1")
-        self.d = d
-        self.hp = hp
-        self.t = 0
-
-    def begin_instance(self) -> None:
-        self.t += 1
+class BinaryLearner(Learner):
+    """A learner whose prediction is the sign of score(x)."""
 
     def score(self, x: SparseVector) -> float:
-        raise NotImplementedError
-
-    def step(self, x: SparseVector, y: int) -> UpdateInfo:
-        raise NotImplementedError
-
-    def primary_norm(self) -> float:
         raise NotImplementedError
 
 

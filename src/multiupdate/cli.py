@@ -2,10 +2,10 @@
 
     multiupdate bench --data a9a --algos PA1,OGD --m 1,2,4 --runs 20 --seed 7
 
-Exit codes: 0 success, 1 configuration/usage error (including an --out or
---trace path that cannot be opened for writing, or the same path for both),
-2 data error, 3 norm-bound audit failure, 4 numerical degeneracy (a
-second-order learner's covariance lost positive definiteness on this data).
+Exit codes: 0 success; a package error exits with its code in
+errors.EXIT_CODES (an --out or --trace path that cannot be opened for
+writing, or the same path for both, is a ConfigError); a click usage error
+or an abort exits 1.
 """
 from __future__ import annotations
 
@@ -21,12 +21,10 @@ import click
 from .bench import emit, run_benchmark
 from .data import load_dataset, normalize_labels, subsample
 from .engine import CountingMode
-from .errors import BoundAuditError, ConfigError, DataError, NumericalDegeneracyError
+from .errors import EXIT_CODES, BoundAuditError, ConfigError
 from .params import HyperParams
 
 log = logging.getLogger(__name__)
-
-_MODES = {"first": CountingMode.FIRST_PREDICTION, "periter": CountingMode.PER_ITERATION}
 
 
 def _parse_m_list(text: str) -> list[int]:
@@ -118,7 +116,7 @@ def cli() -> None:
 @click.option("--seed", default=0, show_default=True,
               help="Base seed; run r permutes with seed+r.")
 @click.option("--mode", default="first", show_default=True,
-              type=click.Choice(sorted(_MODES)),
+              type=click.Choice([mode.value for mode in CountingMode]),
               help="Mistake counting: first prediction only, or per inner cycle.")
 @click.option("--out", default=None, help="Write output here instead of stdout.")
 @click.option("--format", "fmt", default="table", show_default=True,
@@ -164,7 +162,7 @@ def bench(ctx: click.Context, **params) -> None:
         trace_fh = _open_for_writing(files, params["trace"], "w")
         result = run_benchmark(
             dataset, params["algos"], m_values, int(params["runs"]), int(params["seed"]),
-            counting_mode=_MODES[params["mode"]],
+            counting_mode=CountingMode(params["mode"]),
             hp=hp, audit=params["audit_theorem1"], trace_fh=trace_fh)
         text = emit(result, params["fmt"])
         if out_fh is not None:
@@ -192,18 +190,9 @@ def bench(ctx: click.Context, **params) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
-    except NumericalDegeneracyError as exc:
+    except tuple(EXIT_CODES) as exc:
         click.echo(f"error: {exc}", err=True)
-        return 4
-    except BoundAuditError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 3
-    except DataError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    except ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
+        return next(code for error, code in EXIT_CODES.items() if isinstance(exc, error))
     except click.UsageError as exc:
         exc.show(file=sys.stderr)
         return 1

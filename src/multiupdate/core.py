@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NumericalDegeneracyError
+from .errors import ConfigError, DimensionMismatchError, NumericalDegeneracyError
 from .params import HyperParams
 
 
@@ -127,6 +127,45 @@ _PASSIVE_MISS = UpdateInfo(False, True)
 def passive(mispredicted: bool) -> UpdateInfo:
     """An untriggered cycle: no state change, zero delta."""
     return _PASSIVE_MISS if mispredicted else _PASSIVE_HIT
+
+
+class Learner:
+    """The contract both catalogs implement, binary and multiclass:
+
+        begin_instance()          advance the outer clock t (once per instance)
+        step(x, y) -> UpdateInfo  one predict -> maybe-update cycle
+        primary_norm() -> float   L2 norm of the audited state vector
+
+    step() reports only what the engine reads: whether the cycle fired,
+    whether its pre-update prediction was wrong, and the squared change of
+    the audited vector. It is deterministic, so once a cycle reports
+    triggered=False every further cycle on the same (x, y) is a no-op; the
+    engine therefore always stops an instance at its first passive cycle.
+
+    delta_sq_norm and primary_norm() measure the same audited vector, which
+    makes the accumulated-update norm bound hold on traces by construction.
+    """
+
+    kind: str = "?"
+    audit: bool = True
+    """Whether step() measures delta_sq_norm; False reports 0.0 instead.
+    The engine sets it once per run, from whether anything reads the audit."""
+
+    def __init__(self, d: int, hp: HyperParams):
+        if d < 1:
+            raise ConfigError("learner dimension must be >= 1")
+        self.d = d
+        self.hp = hp
+        self.t = 0
+
+    def begin_instance(self) -> None:
+        self.t += 1
+
+    def step(self, x: SparseVector, y: int) -> UpdateInfo:
+        raise NotImplementedError
+
+    def primary_norm(self) -> float:
+        raise NotImplementedError
 
 
 def sparse_add(row: np.ndarray, x: SparseVector, coef: float, audit: bool = True) -> float:

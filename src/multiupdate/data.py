@@ -35,7 +35,7 @@ MULTICLASS_SPACE = "multiclass"
 
 @dataclass(frozen=True)
 class Dataset:
-    """Parsed instances plus the inferred label space.
+    """Parsed instances plus their class count.
 
     labels holds raw file labels until normalize_labels is applied, after
     which binary datasets use {-1, +1} and multiclass ones 0..K-1.
@@ -43,22 +43,17 @@ class Dataset:
 
     instances: tuple[tuple[SparseVector, float], ...]
     d: int
-    label_space: str          # BINARY_SPACE or MULTICLASS_SPACE
-    num_classes: int          # 2 for binary
+    num_classes: int          # distinct labels, at least 2
     name: str = ""
-    normalized: bool = False
 
     @property
     def n(self) -> int:
         return len(self.instances)
 
-
-def _infer_space(labels: set[float]) -> tuple[str, int]:
-    # Fewer than two distinct labels parses fine (think single-line round
-    # trips); normalize_labels is where the degenerate case becomes an error.
-    if len(labels) <= 2:
-        return BINARY_SPACE, 2
-    return MULTICLASS_SPACE, len(labels)
+    @property
+    def label_space(self) -> str:
+        """BINARY_SPACE for two classes, MULTICLASS_SPACE for more."""
+        return BINARY_SPACE if self.num_classes == 2 else MULTICLASS_SPACE
 
 
 MAX_INDEX = 2**31 - 1
@@ -121,9 +116,10 @@ def parse_sparse_text(stream: BinaryIO, name: str = "") -> Dataset:
             raise
     if not instances:
         raise DataError(f"{name}: no instances found")
-    space, k = _infer_space({y for _, y in instances})
+    # Fewer than two distinct labels parses fine (think single-line round
+    # trips); normalize_labels is where the degenerate case becomes an error.
     return Dataset(instances=tuple(instances), d=d,
-                   label_space=space, num_classes=k, name=name)
+                   num_classes=max(2, len({y for _, y in instances})), name=name)
 
 
 def _parse_chunk(lines: list[str], out: list[tuple[SparseVector, float]]) -> int:
@@ -237,7 +233,7 @@ def load_dataset(path: str | Path) -> Dataset:
 
 
 def normalize_labels(ds: Dataset) -> Dataset:
-    """Map raw labels onto the canonical spaces; idempotent.
+    """Map raw labels onto the canonical spaces; ds itself when they already are.
 
     Two distinct raw labels become {-1, +1} with the larger raw value taking
     +1 (covers {-1,+1}, {0,1}, {1,2} and any other two-label coding). Three
@@ -251,15 +247,13 @@ def normalize_labels(ds: Dataset) -> Dataset:
     else:
         mapping = {raw: float(i) for i, raw in enumerate(distinct)}
     if all(raw == mapped for raw, mapped in mapping.items()):
-        return replace(ds, normalized=True)
-    mapped_instances = tuple((x, mapping[y]) for x, y in ds.instances)
-    return replace(ds, instances=mapped_instances, normalized=True)
+        return ds
+    return replace(ds, instances=tuple((x, mapping[y]) for x, y in ds.instances))
 
 
 def as_learning_instances(ds: Dataset) -> list[tuple[SparseVector, int]]:
-    """Instances with integer labels ready for the engine; normalizes first if needed."""
-    norm = ds if ds.normalized else normalize_labels(ds)
-    return [(x, int(y)) for x, y in norm.instances]
+    """Instances with normalized integer labels, ready for the engine."""
+    return [(x, int(y)) for x, y in normalize_labels(ds).instances]
 
 
 def permute(n: int, seed: int) -> list[int]:
@@ -269,7 +263,7 @@ def permute(n: int, seed: int) -> list[int]:
 
 def subsample(ds: Dataset, k: int, seed: int) -> Dataset:
     """First k of a seeded permutation; falls back to per-class quotas only
-    if that loses a class.
+    if that loses a class. A k below the number of classes is a DataError.
 
     The fallback gives each class the quota round(k * n_c / n), at least 1,
     then trims or extends the quotas until they sum to k, working through the
@@ -280,9 +274,11 @@ def subsample(ds: Dataset, k: int, seed: int) -> Dataset:
     n = ds.n
     if not 1 <= k <= n:
         raise DataError(f"subsample size {k} out of range [1, {n}]")
+    classes = {y for _, y in ds.instances}
+    if k < len(classes):
+        raise DataError(f"subsample size {k} cannot keep all {len(classes)} classes")
     perm = permutation(n, seed)
     chosen = perm[:k]
-    classes = {y for _, y in ds.instances}
     got = {ds.instances[i][1] for i in chosen}
     if got != classes:
         by_class: dict[float, list[int]] = {c: [] for c in classes}
@@ -301,11 +297,8 @@ def subsample(ds: Dataset, k: int, seed: int) -> Dataset:
                 diff += 1
         take = {c: set(by_class[c][:quota[c]]) for c in classes}
         chosen = [i for i in perm if i in take[ds.instances[i][1]]]
-    sub = tuple(ds.instances[i] for i in chosen)
-    space, kk = _infer_space({y for _, y in sub})
-    return Dataset(instances=sub, d=ds.d, label_space=space, num_classes=kk,
-                   name=f"{ds.name}[{k}]" if ds.name else f"subsample[{k}]",
-                   normalized=ds.normalized)
+    return replace(ds, instances=tuple(ds.instances[i] for i in chosen),
+                   name=f"{ds.name}[{k}]" if ds.name else f"subsample[{k}]")
 
 
 def parse_text(text: str, name: str = "") -> Dataset:

@@ -34,10 +34,10 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .binary import BinaryLearner, make_binary
-from .core import SparseVector
+from .binary import make_binary
+from .core import Learner, SparseVector
 from .errors import DataError
-from .multiclass import MulticlassLearner, make_multiclass
+from .multiclass import make_multiclass
 from .params import HyperParams
 
 
@@ -79,9 +79,6 @@ class RunStats:
     mistake_rate: float
     updates: float
     cpu_seconds: float
-
-
-Learner = BinaryLearner | MulticlassLearner
 
 
 def process_instance(learner: Learner, x: SparseVector, y: int, cfg: LoopConfig,

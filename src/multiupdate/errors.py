@@ -1,7 +1,6 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto process exit codes: ConfigError -> 1, DataError -> 2,
-BoundAuditError -> 3, NumericalDegeneracyError -> 4.
+EXIT_CODES, at the end, maps each error onto the CLI's process exit code.
 """
 
 
@@ -28,3 +27,8 @@ class NumericalDegeneracyError(RuntimeError):
     covariance has a non-positive diagonal entry, or x^T Sigma x < 0 for the
     current instance (the CW family would take its square root).
     """
+
+
+EXIT_CODES = {NumericalDegeneracyError: 4, BoundAuditError: 3, DataError: 2, ConfigError: 1}
+"""The CLI's exit code per error: the first entry the error is an instance
+of, so DimensionMismatchError, a ConfigError, exits 1."""

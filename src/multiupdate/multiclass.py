@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (PASSIVE_EPS, SparseVector, UpdateInfo, arow_step, cw_alpha, cw_step,
-                   dense_add, downdate, ogd_tau, pa1_tau, pa2_tau, pa_tau, passive,
+from .core import (PASSIVE_EPS, Learner, SparseVector, UpdateInfo, arow_step, cw_alpha,
+                   cw_step, dense_add, downdate, ogd_tau, pa1_tau, pa2_tau, pa_tau, passive,
                    romma_coefs, scw1_alpha, scw2_alpha, sigma_x, sparse_add)
 from .errors import ConfigError, DimensionMismatchError
 from .numerics import inv_norm_cdf
@@ -42,24 +42,15 @@ def _two_sided_row_update(W, x: SparseVector, y: int, losers, gain: float,
     return dsq
 
 
-class MulticlassLearner:
-    audit: bool = True
-    """Whether step() measures delta_sq_norm; False reports 0.0 instead.
-    The engine sets it once per run, from whether anything reads the audit."""
+class MulticlassLearner(Learner):
+    """A learner with one prototype row per class, decoded by max score."""
 
     def __init__(self, num_classes: int, d: int, hp: HyperParams):
         if num_classes < 2:
             raise ConfigError("multiclass learner needs num_classes >= 2")
-        if d < 1:
-            raise ConfigError("learner dimension must be >= 1")
+        super().__init__(d, hp)
         self.K = num_classes
-        self.d = d
-        self.hp = hp
-        self.t = 0
         self.W = np.zeros((num_classes, d))
-
-    def begin_instance(self) -> None:
-        self.t += 1
 
     def scores(self, x: SparseVector) -> np.ndarray:
         if x.max_index >= self.d:
@@ -77,9 +68,6 @@ class MulticlassLearner:
 
     def primary_norm(self) -> float:
         return float(np.linalg.norm(self.W))
-
-    def step(self, x: SparseVector, y: int) -> UpdateInfo:
-        raise NotImplementedError
 
     def _margin_parts(self, x: SparseVector, y: int):
         """(scores, predicted, runner-up r, margin s_y - s_r, hinge loss)."""

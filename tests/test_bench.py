@@ -1,6 +1,7 @@
 """Benchmark harness: cell protocol, aggregation, rendering, parallel parity."""
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 import os
@@ -16,7 +17,7 @@ from multiupdate.bench import (
     run_benchmark,
 )
 from multiupdate.binary import BINARY_KINDS
-from multiupdate.data import parse_text
+from multiupdate.data import parse_text, permute
 from multiupdate.engine import BoundReport, CountingMode, InstanceBound
 from multiupdate.errors import ConfigError, NumericalDegeneracyError
 from multiupdate.multiclass import MULTICLASS_KINDS
@@ -128,6 +129,14 @@ class TestProtocol:
         a = run_benchmark(binary_ds, ["PA"], [1], runs=2, base_seed=0)
         b = run_benchmark(binary_ds, ["PA"], [1], runs=2, base_seed=100)
         assert a.permutation_fingerprints != b.permutation_fingerprints
+
+    @pytest.mark.parametrize("n", [1, 7, 1000, 10000])
+    def test_fingerprint_matches_the_per_element_digest(self, n):
+        perm = permute(n, 3)
+        h = hashlib.sha1()
+        for i in perm:
+            h.update(i.to_bytes(8, "little"))
+        assert bench._fingerprint(perm) == h.hexdigest()[:12]
 
     def test_multiclass_dataset_runs(self, multi_ds):
         result = run_benchmark(multi_ds, ["M_PA", "M_CW"], [1, 2], runs=2, base_seed=0)

@@ -373,6 +373,16 @@ class TestExitCodes:
         rc = run_cli("--data", binary_file, "--subsample", "999", "--runs", "1")
         assert rc == 2
 
+    def test_subsample_below_the_class_count(self, tmp_path, capsys):
+        path = tmp_path / "three.txt"
+        path.write_text("1 1:1\n2 1:-1\n3 2:1\n1 1:0.8\n2 1:-0.7\n3 2:0.9\n")
+        rc = run_cli("--data", str(path), "--subsample", "2", "--algos", "M_PA",
+                     "--m", "1", "--runs", "1")
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: subsample size 2 cannot keep all 3 classes\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", ["abc", "1.5", ""], ids=["word", "float", "empty"])
     def test_non_integer_bench_threads(self, binary_file, monkeypatch, capsys, value):
         monkeypatch.setenv("BENCH_THREADS", value)

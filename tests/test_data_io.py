@@ -301,7 +301,7 @@ class TestNormalization:
         ds = parse_text("0 1:1\n1 1:2\n0 2:1\n")
         norm = normalize_labels(ds)
         assert [y for _, y in norm.instances] == [-1.0, 1.0, -1.0]
-        assert norm.normalized
+        assert normalize_labels(norm) is norm
 
     def test_one_two_to_pm_one(self):
         ds = parse_text("1 1:1\n2 1:2\n")
@@ -398,3 +398,16 @@ class TestSubsample:
     def test_name_tagged(self):
         sub = subsample(self._ds(30), 10, seed=1)
         assert sub.name == "synth[10]"
+
+    @pytest.mark.parametrize("n, classes, k", [(6, 3, 2), (6, 2, 1)],
+                             ids=["three-classes-k2", "binary-k1"])
+    def test_k_below_the_class_count(self, n, classes, k):
+        with pytest.raises(DataError, match=f"subsample size {k} cannot keep all "
+                                            f"{classes} classes"):
+            subsample(self._ds(n, classes), k, seed=0)
+
+    def test_keeps_the_class_count(self):
+        ds = self._ds(30, 3)
+        sub = subsample(ds, 3, seed=4)
+        assert (sub.n, sub.num_classes, sub.label_space) == (3, 3, MULTICLASS_SPACE)
+        assert {y for _, y in sub.instances} == {0.0, 1.0, 2.0}

@@ -477,6 +477,74 @@ class TestCycleOracles:
             states.append((learner.mu.tobytes(), learner.sigma.tobytes()))
         assert states[0] == states[1]
 
+    @given(inst=_dense_instance(-3.0, 3.0), scales=st.lists(st.floats(0.2, 2.0),
+                                                           min_size=6, max_size=6),
+           loss0=st.floats(0.1, 2.0), cv=st.floats(0.01, 2.0), m=st.integers(1, 32))
+    @settings(max_examples=60, deadline=None)
+    def test_nherd_loss_and_confidence_shrink_by_one_plus_cv(self, inst, scales, loss0,
+                                                             cv, m):
+        # NHERD steps like AROW with r = 1/C, so a cycle at confidence v maps
+        # the loss l -> l/(1 + C*v), and its covariance factor
+        # (C^2 v + 2C)/(1 + C*v)^2 maps v -> v/(1 + C*v)^2; every cycle fires
+        x, xs, y = inst
+        sigma0 = np.diag(scales[:x.size])
+        mu0 = (1.0 - loss0) / float(x @ x) * y * x
+        v0 = float(x @ sigma0 @ x)
+        C = cv / v0
+        loss, v = 1.0 - y * float(mu0 @ x), v0
+        for _ in range(m):
+            loss, v = loss / (1.0 + C * v), v / (1.0 + C * v) ** 2
+        states = []
+        for audit in (True, False):
+            learner = make_binary("NHERD", x.size, HP.replace(C=C))
+            learner.audit = audit
+            learner.mu[:] = mu0
+            learner.sigma[:] = sigma0
+            record = process_instance(learner, xs, y, LoopConfig(m=m))
+            assert record.updates == record.cycles == m
+            assert 1.0 - y * float(learner.mu @ x) == pytest.approx(loss, rel=1e-12)
+            assert float(x @ learner.sigma @ x) == pytest.approx(v, rel=1e-12)
+            states.append((learner.mu.tobytes(), learner.sigma.tobytes()))
+        assert states[0] == states[1]
+
+    @given(inst=_dense_instance(-3.0, 3.0), scales=st.lists(st.floats(0.1, 10.0),
+                                                           min_size=6, max_size=6),
+           loss0=st.floats(0.1, 2.0), bv0=st.floats(0.05, 4.0), ratio=st.floats(0.01, 2.0),
+           m=st.integers(1, 32))
+    @settings(max_examples=80, deadline=None)
+    def test_narow_is_arow_below_one_over_b_and_lands_on_it_from_above(self, inst, scales,
+                                                                       loss0, bv0, ratio, m):
+        # while b*v <= 1 NAROW takes AROW's step with the fixed r, and v only
+        # falls, so all m cycles follow AROW's recursion: l_k = l0/(1 + k*v0/r)
+        # and v_k = v0/(1 + k*v0/r). From b*v0 > 1 the adaptive
+        # r = v0/(b*v0 - 1) lands the first cycle on v1 = 1/b with the loss
+        # l0/(b*v0); whether b*v1 then rounds above 1 decides the next
+        # cycle's r, so only that first cycle is checked.
+        x, xs, y = inst
+        sigma0 = np.diag(scales[:x.size])
+        mu0 = (1.0 - loss0) / float(x @ x) * y * x
+        l0, v0 = 1.0 - y * float(mu0 @ x), float(x @ sigma0 @ x)
+        b, r = bv0 / v0, v0 / ratio
+        # which side of the threshold the learner's own v0 falls is not decided here
+        assume(abs(b * v0 - 1.0) > 1e-9)
+        if b * v0 <= 1.0:
+            cycles, shrink = m, 1.0 + m * v0 / r
+            loss, v = l0 / shrink, v0 / shrink
+        else:
+            cycles, loss, v = 1, l0 / (b * v0), 1.0 / b
+        states = []
+        for audit in (True, False):
+            learner = make_binary("NAROW", x.size, HP.replace(narow_b=b, arow_r=r))
+            learner.audit = audit
+            learner.mu[:] = mu0
+            learner.sigma[:] = sigma0
+            record = process_instance(learner, xs, y, LoopConfig(m=cycles))
+            assert record.updates == record.cycles == cycles
+            assert 1.0 - y * float(learner.mu @ x) == pytest.approx(loss, rel=1e-12)
+            assert float(x @ learner.sigma @ x) == pytest.approx(v, rel=1e-12)
+            states.append((learner.mu.tobytes(), learner.sigma.tobytes()))
+        assert states[0] == states[1]
+
     @given(inst=_dense_instance(-2.0, 2.0),
            w=st.lists(st.floats(-0.5, 0.5), min_size=6, max_size=6),
            C=st.sampled_from((0.01, 0.05, 0.3)), m=st.integers(1, 32))
