@@ -2,6 +2,11 @@
 core.Learner contract, each adding score(x) -> float, the current
 prediction score <w_eff, x>.
 
+The Perceptron, PA, ROMMA, CW and AROW families take their steps from core;
+this module supplies the binary hooks: the margin y*s, the update direction
+y*x (DIR_SQ = 1), and adds on w or on the mean mu. ALMA, SOP and IELLIP keep
+their own steps.
+
 The audited state vector (whose per-cycle change is reported in
 delta_sq_norm and whose norm primary_norm() returns) is w for first-order
 kinds, the mean mu for the confidence-weighted family, and the accumulator v
@@ -13,12 +18,10 @@ import math
 
 import numpy as np
 
-from .core import (PASSIVE_EPS, Learner, SparseVector, UpdateInfo, arow_step, cw_alpha,
-                   cw_step, dense_add, downdate, hinge_loss, ogd_tau, pa1_tau, pa2_tau, pa_tau,
-                   passive, predict_linear, romma_coefs, scw1_alpha, scw2_alpha, sigma_x,
-                   sparse_add)
+from .core import (PASSIVE_EPS, ArowStep, CWStep, Learner, PAStep, PerceptronStep, RommaStep,
+                   SparseVector, UpdateInfo, dense_add, downdate, ogd_tau, pa1_tau, pa2_tau,
+                   passive, predict_linear, scw1_alpha, scw2_alpha, sigma_x, sparse_add)
 from .errors import ConfigError
-from .numerics import inv_norm_cdf
 from .params import HyperParams
 
 
@@ -36,6 +39,10 @@ class BinaryLearner(Learner):
     def score(self, x: SparseVector) -> float:
         raise NotImplementedError
 
+    def _margin(self, x, y):
+        m = y * self.score(x)
+        return m <= 0, m, y
+
 
 class FirstOrderLearner(BinaryLearner):
     def __init__(self, d, hp):
@@ -48,54 +55,40 @@ class FirstOrderLearner(BinaryLearner):
     def primary_norm(self):
         return float(np.linalg.norm(self.w))
 
+    def _add_x(self, x, y, r, coef):
+        return sparse_add(self.w, x, coef * y, self.audit)
 
-class Perceptron(FirstOrderLearner):
+    def _sq_norm(self):
+        return float(self.w @ self.w)
+
+    def _rescale_add(self, x, y, r, c, g):
+        old = self.w.copy() if self.audit else None
+        self.w *= c
+        self.w[x.indices] += g * y * x.values
+        return _sq_change(self.w, old)
+
+
+class Perceptron(PerceptronStep, FirstOrderLearner):
     """Rosenblatt's rule: on a sign mistake, w += y*x."""
 
     kind = "Perceptron"
 
-    def step(self, x, y):
-        mis = y * self.score(x) <= 0
-        if not mis or x.squared_norm() <= PASSIVE_EPS:
-            return passive(mis)
-        return UpdateInfo(True, mis, sparse_add(self.w, x, float(y), self.audit))
 
-
-class _PABase(FirstOrderLearner):
-    """Passive-aggressive: step size tau chosen so the instance reaches margin 1,
-    optionally truncated; update fires whenever hinge loss is positive."""
-
-    tau_rule = staticmethod(pa_tau)
-
-    def step(self, x, y):
-        s = self.score(x)
-        loss = hinge_loss(y, s)
-        mis = y * s <= 0
-        xsq = x.squared_norm()
-        # A loss within rounding distance of zero means the margin constraint
-        # is already met (an uncapped step lands on it exactly); treating it
-        # as positive would re-trigger zero-size updates on repeat cycles.
-        if loss <= PASSIVE_EPS or xsq <= PASSIVE_EPS:
-            return passive(mis)
-        tau = self.tau_rule(loss, xsq, self.hp, self.t)
-        return UpdateInfo(True, mis, sparse_add(self.w, x, tau * y, self.audit))
-
-
-class PA(_PABase):
+class PA(PAStep, FirstOrderLearner):
     kind = "PA"
 
 
-class PA1(_PABase):
+class PA1(PA):
     kind = "PA1"
     tau_rule = staticmethod(pa1_tau)
 
 
-class PA2(_PABase):
+class PA2(PA):
     kind = "PA2"
     tau_rule = staticmethod(pa2_tau)
 
 
-class OGD(_PABase):
+class OGD(PA):
     """Online gradient descent on the hinge loss with eta_t = eta0 / sqrt(t).
 
     t is the outer-instance counter: it advances once per instance, so the
@@ -141,36 +134,13 @@ class ALMA(FirstOrderLearner):
         return UpdateInfo(True, mis, _sq_change(self.w, old))
 
 
-class _RommaBase(FirstOrderLearner):
-    """Relaxed online maximum-margin: w' = c*w + g*y*x with the closed-form
-    coefficients; degenerate cases (zero weight, vanishing denominator) fall
-    back to a plain perceptron step."""
+class ROMMA(RommaStep, FirstOrderLearner):
+    """Relaxed online maximum-margin: w' = c*w + g*y*x."""
 
-    aggressive = False
-
-    def step(self, x, y):
-        s = self.score(x)
-        mis = y * s <= 0
-        triggered = hinge_loss(y, s) > PASSIVE_EPS if self.aggressive else mis
-        xsq = x.squared_norm()
-        if not triggered or xsq <= PASSIVE_EPS:
-            return passive(mis)
-        coefs = romma_coefs(xsq, float(self.w @ self.w), y * s)
-        if coefs is None:
-            return UpdateInfo(True, mis, sparse_add(self.w, x, float(y), self.audit))
-        c, g = coefs
-        old = self.w.copy() if self.audit else None
-        self.w *= c
-        self.w[x.indices] += g * y * x.values
-        return UpdateInfo(True, mis, _sq_change(self.w, old))
-
-
-class ROMMA(_RommaBase):
     kind = "ROMMA"
-    aggressive = False
 
 
-class AROMMA(_RommaBase):
+class AROMMA(ROMMA):
     kind = "aROMMA"
     aggressive = True
 
@@ -225,33 +195,14 @@ class SecondOrderLearner(BinaryLearner):
     def primary_norm(self):
         return float(np.linalg.norm(self.mu))
 
+    def _add_dense(self, sx, y, r, coef):
+        return dense_add(self.mu, sx, coef * y, self.audit)
 
-class CW(SecondOrderLearner):
-    """Confidence-weighted learning (exact convex closed form).
 
-    phi is the normal quantile of the confidence level; an update fires when
-    the margin falls short of phi standard deviations, i.e.
-    y*<mu,x> < phi*sqrt(x^T Sigma x).
-    """
+class CW(CWStep, SecondOrderLearner):
+    """Confidence-weighted learning: fires while y*<mu,x> < phi*sqrt(x^T Sigma x)."""
 
     kind = "CW"
-    alpha_rule = staticmethod(cw_alpha)
-
-    def __init__(self, d, hp):
-        super().__init__(d, hp)
-        self._phi = inv_norm_cdf(hp.cw_eta)
-
-    def step(self, x, y):
-        s = self.score(x)
-        mis = y * s <= 0
-        if x.squared_norm() <= PASSIVE_EPS:
-            return passive(mis)
-        sx, v = sigma_x(self.sigma, x)
-        alpha, beta = cw_step(self.alpha_rule, y * s, v, self._phi, self.hp)
-        if alpha <= 0.0:
-            return passive(mis)
-        downdate(self.sigma, sx, beta)
-        return UpdateInfo(True, mis, dense_add(self.mu, sx, alpha * y, self.audit))
 
 
 class SCW1(CW):
@@ -268,31 +219,8 @@ class SCW2(CW):
     alpha_rule = staticmethod(scw2_alpha)
 
 
-class AROW(SecondOrderLearner):
-    """Adaptive regularization of weights: hinge-triggered, with
-    beta = 1/(x^T Sigma x + r), alpha = loss * beta, and Sigma shrunk by beta
-    along Sigma x."""
-
+class AROW(ArowStep, SecondOrderLearner):
     kind = "AROW"
-
-    def _r(self, v: float) -> float:
-        return self.hp.arow_r
-
-    def _shrink(self, v: float, beta: float) -> float:
-        return beta
-
-    def step(self, x, y):
-        s = self.score(x)
-        loss = hinge_loss(y, s)
-        mis = y * s <= 0
-        if loss <= PASSIVE_EPS or x.squared_norm() <= PASSIVE_EPS:
-            return passive(mis)
-        sx, v = sigma_x(self.sigma, x)
-        if v <= PASSIVE_EPS:
-            return passive(mis)
-        alpha, beta = arow_step(loss, v, self._r(v))
-        downdate(self.sigma, sx, self._shrink(v, beta))
-        return UpdateInfo(True, mis, dense_add(self.mu, sx, alpha * y, self.audit))
 
 
 class NAROW(AROW):

@@ -1,5 +1,10 @@
-"""Shared domain types, loss functions, linear prediction, and the closed-form
-update rules that the binary and multiclass catalogs share.
+"""Shared domain types, loss functions, linear prediction, the closed-form
+update rules, and the five update steps both catalogs share.
+
+A multiclass PA, ROMMA, CW or AROW kind, and M_PerceptronM, is its binary
+rule on the difference vector Phi(x, y) - Phi(x, r) (Crammer et al., JMLR
+2006; LIBOL, Hoi, Wang & Zhao, JMLR 2014), so each such step is written once
+here and a label space supplies only the hooks listed on Learner.
 
 Conventions used throughout the package:
 
@@ -18,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, NumericalDegeneracyError
+from .numerics import inv_norm_cdf
 from .params import HyperParams
 
 
@@ -151,6 +157,16 @@ class Learner:
     """Whether step() measures delta_sq_norm; False reports 0.0 instead.
     The engine sets it once per run, from whether anything reads the audit."""
 
+    # Hooks the shared steps below read; r is the label an update moves away
+    # from (y binary, the top wrong class multiclass). DIR_SQ is the update
+    # direction's squared norm per ||x||^2 (2 for the difference vector);
+    # _margin(x, y) -> (mispredicted, margin, r); _add_x(x, y, r, coef) and
+    # _add_dense(sx, y, r, coef) add coef times the direction built on x or
+    # on Sigma x and return the realized squared change (0.0 unaudited);
+    # ROMMA's _sq_norm() and _rescale_add(x, y, r, c, g) read ||state||^2 and
+    # set state = c*state + g*direction.
+    DIR_SQ = 1.0
+
     def __init__(self, d: int, hp: HyperParams):
         if d < 1:
             raise ConfigError("learner dimension must be >= 1")
@@ -200,9 +216,8 @@ def dense_add(row: np.ndarray, v: np.ndarray, coef: float, audit: bool = True) -
 
 
 # Step-size rules of the passive-aggressive family (Crammer et al., JMLR
-# 2006) plus OGD: tau from the hinge loss, the squared norm of the update
-# direction (2*||x||^2 for the multiclass difference vector), the
-# hyperparameters and the outer clock t.
+# 2006) plus OGD: tau from the hinge loss, the squared norm DIR_SQ*||x||^2 of
+# the update direction, the hyperparameters and the outer clock t.
 
 def pa_tau(loss: float, xsq: float, hp: HyperParams, t: int) -> float:
     return loss / xsq
@@ -222,9 +237,8 @@ def ogd_tau(loss: float, xsq: float, hp: HyperParams, t: int) -> float:
 
 
 # Confidence-weighted family (CW exact form; SCW1/SCW2 of Wang, Zhao & Hoi,
-# ICML 2012): alpha from the margin m, the confidence v = x^T Sigma x of the
-# update direction (2 * x^T Sigma x for the multiclass difference vector)
-# and phi, the normal quantile of the confidence level.
+# ICML 2012): alpha from the margin m, the confidence v = DIR_SQ*x^T Sigma x
+# of the update direction and phi, the normal quantile of the confidence level.
 
 def cw_alpha(m: float, v: float, phi: float, hp: HyperParams) -> float:
     psi = 1.0 + phi * phi / 2.0
@@ -320,3 +334,99 @@ def arow_step(loss: float, v: float, r: float) -> tuple[float, float]:
     """AROW's (alpha, beta): beta = 1/(v + r), alpha = loss * beta."""
     beta = 1.0 / (v + r)
     return loss * beta, beta
+
+
+class PerceptronStep:
+    """On a mistake, one unit step along the update direction."""
+
+    def step(self, x, y):
+        mis, _, r = self._margin(x, y)
+        if not mis or x.squared_norm() <= PASSIVE_EPS:
+            return passive(mis)
+        return UpdateInfo(True, mis, self._add_x(x, y, r, 1.0))
+
+
+class PAStep:
+    """Passive-aggressive: tau reaches margin 1, optionally truncated; the
+    update fires whenever the hinge loss is positive."""
+
+    tau_rule = staticmethod(pa_tau)
+
+    def step(self, x, y):
+        mis, margin, r = self._margin(x, y)
+        loss = max(0.0, 1.0 - margin)
+        xsq = x.squared_norm()
+        # A loss within rounding distance of zero means the margin constraint
+        # is already met (an uncapped step lands on it exactly); treating it
+        # as positive would re-trigger zero-size updates on repeat cycles.
+        if loss <= PASSIVE_EPS or xsq <= PASSIVE_EPS:
+            return passive(mis)
+        tau = self.tau_rule(loss, self.DIR_SQ * xsq, self.hp, self.t)
+        return UpdateInfo(True, mis, self._add_x(x, y, r, tau))
+
+
+class RommaStep:
+    """Relaxed online maximum-margin: state' = c*state + g*direction, or a
+    perceptron step when romma_coefs degenerates. The aggressive variant
+    fires on a positive hinge loss, the plain one on a margin <= 0."""
+
+    aggressive = False
+
+    def step(self, x, y):
+        mis, margin, r = self._margin(x, y)
+        triggered = 1.0 - margin > PASSIVE_EPS if self.aggressive else margin <= 0.0
+        xsq = x.squared_norm()
+        if not triggered or xsq <= PASSIVE_EPS:
+            return passive(mis)
+        coefs = romma_coefs(self.DIR_SQ * xsq, self._sq_norm(), margin)
+        if coefs is None:
+            return UpdateInfo(True, mis, self._add_x(x, y, r, 1.0))
+        c, g = coefs
+        return UpdateInfo(True, mis, self._rescale_add(x, y, r, c, g))
+
+
+class CWStep:
+    """Confidence-weighted learning (exact convex closed form), and SCW1/SCW2
+    through alpha_rule: an update fires when the margin falls short of phi
+    standard deviations of the update direction."""
+
+    alpha_rule = staticmethod(cw_alpha)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._phi = inv_norm_cdf(self.hp.cw_eta)
+
+    def step(self, x, y):
+        mis, margin, r = self._margin(x, y)
+        if x.squared_norm() <= PASSIVE_EPS:
+            return passive(mis)
+        sx, v = sigma_x(self.sigma, x)
+        alpha, beta = cw_step(self.alpha_rule, margin, self.DIR_SQ * v, self._phi, self.hp)
+        if alpha <= 0.0:
+            return passive(mis)
+        downdate(self.sigma, sx, self.DIR_SQ * beta)
+        return UpdateInfo(True, mis, self._add_dense(sx, y, r, alpha))
+
+
+class ArowStep:
+    """Adaptive regularization of weights: hinge-triggered, with beta =
+    1/(v + r), alpha = loss * beta, and Sigma shrunk by _shrink along Sigma x."""
+
+    def _r(self, v: float) -> float:
+        return self.hp.arow_r
+
+    def _shrink(self, v: float, beta: float) -> float:
+        return beta
+
+    def step(self, x, y):
+        mis, margin, r = self._margin(x, y)
+        loss = max(0.0, 1.0 - margin)
+        if loss <= PASSIVE_EPS or x.squared_norm() <= PASSIVE_EPS:
+            return passive(mis)
+        sx, v = sigma_x(self.sigma, x)
+        v = self.DIR_SQ * v
+        if v <= PASSIVE_EPS:
+            return passive(mis)
+        alpha, beta = arow_step(loss, v, self._r(v))
+        downdate(self.sigma, sx, self.DIR_SQ * self._shrink(v, beta))
+        return UpdateInfo(True, mis, self._add_dense(sx, y, r, alpha))

@@ -139,14 +139,21 @@ def run_sequence(kind: str, hp: HyperParams, instances: Sequence[tuple[SparseVec
     instance i-1's w_star_norm: begin_instance() only advances the clock, so
     the norm is taken once per instance. With audit False the learner skips
     the delta and norm accounting and the records come back as None; the
-    statistics and the learner's final state are the same either way.
+    statistics and the learner's final state are the same either way. A
+    dimension whose model cannot be allocated is a DataError.
     """
     if not instances:
         raise DataError("cannot run on an empty dataset")
-    if num_classes is None:
-        learner: Learner = make_binary(kind, d, hp)
-    else:
-        learner = make_multiclass(kind, num_classes, d, hp)
+    try:
+        if num_classes is None:
+            learner: Learner = make_binary(kind, d, hp)
+        else:
+            learner = make_multiclass(kind, num_classes, d, hp)
+    except (MemoryError, ValueError) as exc:
+        # numpy says "array is too big" for a size past the address space
+        if isinstance(exc, ValueError) and "too big" not in str(exc):
+            raise
+        raise DataError(f"{kind}: a model of dimension {d} cannot be allocated") from None
     learner.audit = audit
     records: list[InstanceRecord] | None = [] if audit else None
     per_iteration = cfg.counting_mode is CountingMode.PER_ITERATION

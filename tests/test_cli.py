@@ -3,8 +3,14 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import multiupdate
 
 from conftest import INDEFINITE_LINES, blob_instances, instances_to_text, separable_instances
 from multiupdate.cli import main
@@ -382,6 +388,48 @@ class TestExitCodes:
         assert rc == 2
         assert captured.err == "error: subsample size 2 cannot keep all 3 classes\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_model_that_cannot_be_allocated_exits_2(self, binary_file, monkeypatch, capsys,
+                                                    threads):
+        # the factory's MemoryError must become one error line, also when it
+        # happens in a forked pool worker
+        def oversized(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr("multiupdate.engine.make_binary", oversized)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("BENCH_THREADS", threads)
+        rc = run_cli("--data", binary_file, "--algos", "PA1", "--m", "1,2", "--runs", "2")
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: PA1: a model of dimension 4 cannot be allocated\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kind", ["PA1", "SOP"])
+    def test_largest_index_under_a_memory_limit_exits_2(self, tmp_path, kind):
+        # d = 2**31 - 1 parses, but its 16 GiB vector (and SOP's d x d matrix)
+        # cannot be allocated; the 4 GiB address-space limit keeps the attempt
+        # from touching the machine's memory
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "huge.txt"
+        path.write_text("+1 2147483647:1\n-1 1:1\n")
+
+        def limit():
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(multiupdate.__file__).parents[1]))
+        env.pop("BENCH_THREADS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "multiupdate.cli", "bench", "--data", str(path),
+             "--algos", kind, "--m", "1", "--runs", "1"],
+            capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: {kind}: a model of dimension 2147483647"
+                               " cannot be allocated\n")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("value", ["abc", "1.5", ""], ids=["word", "float", "empty"])
     def test_non_integer_bench_threads(self, binary_file, monkeypatch, capsys, value):

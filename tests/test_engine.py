@@ -176,6 +176,28 @@ class TestRunSequence:
         with pytest.raises(DataError, match="empty"):
             run_sequence("PA", HP, [], 3, LoopConfig())
 
+    @pytest.mark.parametrize("error", [MemoryError(), ValueError("array is too big; ...")],
+                             ids=["memory", "too-big"])
+    def test_model_that_cannot_be_allocated_is_a_data_error(self, monkeypatch, error):
+        def oversized(*args):
+            raise error
+
+        monkeypatch.setattr("multiupdate.engine.make_binary", oversized)
+        monkeypatch.setattr("multiupdate.engine.make_multiclass", oversized)
+        instances = [(vec((1, 1.0)), 1)]
+        with pytest.raises(DataError, match="^PA1: a model of dimension 7 cannot be allocated$"):
+            run_sequence("PA1", HP, instances, 7, LoopConfig())
+        with pytest.raises(DataError, match="^M_CW: a model of dimension 3 cannot"):
+            run_sequence("M_CW", HP, instances, 3, LoopConfig(), num_classes=3)
+
+    def test_other_value_errors_from_the_factory_propagate(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("not an allocation failure")
+
+        monkeypatch.setattr("multiupdate.engine.make_binary", broken)
+        with pytest.raises(ValueError, match="not an allocation failure"):
+            run_sequence("PA1", HP, [(vec((1, 1.0)), 1)], 1, LoopConfig())
+
     def test_repeated_separable_instance(self):
         instances = [(vec((1, 1.0)), +1)] * 10
         _, records, stats = run_sequence("PA", HP, instances, 1, LoopConfig(m=2))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiupdate.binary import make_binary
-from multiupdate.core import SparseVector, hinge_loss
+from multiupdate.core import SparseVector, hinge_loss, romma_coefs
 from multiupdate.numerics import inv_norm_cdf
 from multiupdate.errors import ConfigError
 from multiupdate.multiclass import MULTICLASS_KINDS, make_multiclass
@@ -332,3 +332,60 @@ class TestInvariants:
                 break
             third = learner.step(x, 2)
         assert not third.triggered         # the loop does close
+
+
+TWINS = (("PA", "M_PA"), ("CW", "M_CW"), ("SCW1", "M_SCW1"), ("SCW2", "M_SCW2"),
+         ("AROW", "M_AROW"), ("ROMMA", "M_ROMMA"), ("aROMMA", "M_aROMMA"))
+
+
+def _rel(a: np.ndarray, b: np.ndarray) -> float:
+    """Norm-wise relative distance of a from b."""
+    return float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-300)
+
+
+class TestK2Twins:
+    """At K=2 each multiclass kind below is its binary twin's rule on the
+    difference vector. The binary learner starts at (mu, Sigma), the
+    multiclass one at W[1] = mu/2, W[0] = -mu/2 and Sigma/2, and binary y=+1
+    is class 1: the margins and confidences then agree, and after one cycle
+    W[1] - W[0] is the binary mu' and twice the shared Sigma is the binary
+    Sigma'. PA1, PA2, OGD and the Perceptron are not twins under this map."""
+
+    @pytest.mark.parametrize("binary_kind,multi_kind", TWINS)
+    def test_one_cycle_matches_the_binary_twin(self, binary_kind, multi_kind):
+        rng = np.random.default_rng(11)
+        fired = 0
+        for _ in range(300):
+            d = int(rng.integers(2, 9))
+            x = rng.uniform(-3.0, 3.0, d)
+            mu = rng.uniform(-1.0, 1.0, d)
+            scales = rng.uniform(0.2, 2.0, d)
+            y = int(rng.choice((-1, 1)))
+            xs = SparseVector(range(d), x)
+            if "ROMMA" in binary_kind:
+                # the zero-weight/denominator fallback adds y*x on the binary
+                # side but moves the difference by 2x: not a twin there
+                wsq, xsq, margin = float(mu @ mu), float(x @ x), y * float(mu @ x)
+                if (romma_coefs(xsq, wsq, margin) is None
+                        or romma_coefs(2.0 * xsq, wsq / 2.0, margin) is None):
+                    continue
+            binary = make_binary(binary_kind, d, HP)
+            multi = make_multiclass(multi_kind, 2, d, HP)
+            if hasattr(binary, "sigma"):
+                binary.mu[:] = mu
+                binary.sigma[:] = np.diag(scales)
+                multi.sigma[:] = np.diag(scales / 2.0)
+            else:
+                binary.w[:] = mu
+            multi.W[1], multi.W[0] = mu / 2.0, -mu / 2.0
+            binary.begin_instance()
+            multi.begin_instance()
+            b_info = binary.step(xs, y)
+            m_info = multi.step(xs, 1 if y > 0 else 0)
+            assert b_info.triggered == m_info.triggered
+            fired += b_info.triggered
+            state = binary.mu if hasattr(binary, "sigma") else binary.w
+            assert _rel(multi.W[1] - multi.W[0], state) <= 1e-12
+            if hasattr(binary, "sigma"):
+                assert _rel(2.0 * multi.sigma, binary.sigma) <= 1e-12
+        assert 20 <= fired <= 280, fired
