@@ -24,12 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binary import BINARY_KINDS
-from .data import BINARY_SPACE, Dataset, as_learning_instances, permute
-from .engine import (CountingMode, LoopConfig, check_norm_bound, run_sequence, trace_records,
-                     write_trace)
+from .data import BINARY_SPACE, Dataset, normalize_labels
+from .engine import CountingMode, LoopConfig, check_norm_bound, run_sequence, trace_records
 from .errors import ConfigError, NumericalDegeneracyError
 from .multiclass import MULTICLASS_KINDS
 from .params import HyperParams
+# bound under this module's name so a timing hook can patch bench.permute
+from .rng import permutation as permute
 
 log = logging.getLogger(__name__)
 
@@ -134,9 +135,8 @@ def _run_one(kind: str, m: int, run_index: int):
         audit_summary = (len(report.instances), report.min_slack,
                          [AuditFailure(kind, m, run_index, b.index, b.lhs, b.rhs)
                           for b in report.failures])
-    lines = None
-    if _CTX["want_trace"]:
-        lines = trace_records(records, algorithm=kind, m=m, run=run_index)
+    lines = (trace_records(records, algorithm=kind, m=m, run=run_index)
+             if _CTX["want_trace"] else [])
     return stats, audit_summary, lines
 
 
@@ -164,7 +164,7 @@ def run_benchmark(dataset: Dataset, algorithms: str | list[str], m_values: list[
     hp = hp or HyperParams()
     algorithms = resolve_algorithms(algorithms, dataset.label_space)
 
-    instances = as_learning_instances(dataset)
+    instances = normalize_labels(dataset).instances
     n = len(instances)
     num_classes = dataset.num_classes if dataset.label_space != BINARY_SPACE else None
 
@@ -209,8 +209,8 @@ def run_benchmark(dataset: Dataset, algorithms: str | list[str], m_values: list[
                     result.audited_instances += checked
                     result.audit_min_slack = min(result.audit_min_slack, min_slack)
                     result.audit_failures.extend(failures)
-                if lines is not None:
-                    write_trace(trace_fh, lines)
+                for line in lines:      # one write per row, so a wrapper can count rows
+                    trace_fh.write(line)
     finally:
         if pool is not None:
             # a failed run must not wait for the queued tasks of later cells

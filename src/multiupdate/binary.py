@@ -115,14 +115,13 @@ class ALMA(FirstOrderLearner):
         self.k = 1
 
     def step(self, x, y):
-        s = self.score(x)
-        mis = y * s <= 0
+        mis, margin, _ = self._margin(x, y)
         xsq = x.squared_norm()
         if xsq <= PASSIVE_EPS:
             return passive(mis)
         xnorm = math.sqrt(xsq)
         theta = self.hp.alma_B / math.sqrt(self.k)
-        if y * s / xnorm > (1.0 - self.hp.alma_alpha) * theta:
+        if margin / xnorm > (1.0 - self.hp.alma_alpha) * theta:
             return passive(mis)
         eta = self.hp.alma_C / math.sqrt(self.k)
         old = self.w.copy() if self.audit else None
@@ -171,7 +170,7 @@ class SOP(BinaryLearner):
         return float(np.linalg.norm(self.v))
 
     def step(self, x, y):
-        mis = y * self.score(x) <= 0
+        mis, _, _ = self._margin(x, y)
         if not mis or x.squared_norm() <= PASSIVE_EPS:
             return passive(mis)
         dsq = sparse_add(self.v, x, float(y), self.audit)
@@ -264,15 +263,14 @@ class IELLIP(SecondOrderLearner):
     kind = "IELLIP"
 
     def step(self, x, y):
-        s = self.score(x)
-        mis = y * s <= 0
+        mis, margin, _ = self._margin(x, y)
         if not mis or x.squared_norm() <= PASSIVE_EPS:
             return passive(mis)
         sx, v = sigma_x(self.sigma, x)
         if v <= PASSIVE_EPS:
             return passive(mis)
         root_v = math.sqrt(v)
-        alpha = (1.0 - y * s) / root_v
+        alpha = (1.0 - margin) / root_v
         sg = y * sx / root_v                      # Sigma @ g
         downdate(self.sigma, sg, self.hp.iellip_c)
         self.sigma *= self.hp.iellip_b

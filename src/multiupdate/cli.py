@@ -84,11 +84,14 @@ def _apply_config_file(ctx: click.Context, params: dict, path: str) -> None:
             if not isinstance(value, dict):
                 raise ConfigError("config 'set' must map parameter names to numbers")
             # File entries first: later (flag-provided) entries win per key.
-            params["set_"] = tuple(f"{k}={v}" for k, v in value.items()) + tuple(params["set_"])
+            params["set_"] = tuple(f"{k}={v}" for k, v in value.items()) + params["set_"]
             continue
         if name not in params:
             raise ConfigError(f"config file {path}: unknown option {key!r}")
         if name not in from_cli:
+            # a null is a value only where the option's default is None
+            if value is None and options[name].default is not None:
+                raise ConfigError(f"config file {path}: option {key!r}: null is not a valid value")
             # click's INT truncates a number with int(); the flag would refuse it
             if options[name].type is click.INT and (
                     isinstance(value, bool)
@@ -140,17 +143,17 @@ def bench(ctx: click.Context, **params) -> None:
         level=logging.DEBUG if params["verbose"] else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr, force=True)
 
-    if not 0 <= int(params["seed"]) < 2 ** 64:
+    if not 0 <= params["seed"] < 2 ** 64:
         raise ConfigError("--seed must fit in an unsigned 64-bit integer")
-    m_values = _parse_m_list(str(params["m_list"]))
+    m_values = _parse_m_list(params["m_list"])
     if params["out"] and params["trace"] and (
             os.path.realpath(params["out"]) == os.path.realpath(params["trace"])):
         raise ConfigError(f"--out and --trace name the same file {params['out']}")
-    hp = HyperParams().replace(**_parse_overrides(tuple(params["set_"])))
+    hp = HyperParams().replace(**_parse_overrides(params["set_"]))
 
     dataset = normalize_labels(load_dataset(params["data"]))
     if params["subsample"] is not None:
-        dataset = subsample(dataset, int(params["subsample"]), int(params["seed"]))
+        dataset = subsample(dataset, params["subsample"], params["seed"])
     log.debug("dataset %s: n=%d d=%d classes=%d", dataset.name,
               len(dataset.instances), dataset.d, dataset.num_classes)
 
@@ -161,7 +164,7 @@ def bench(ctx: click.Context, **params) -> None:
         out_fh = _open_for_writing(files, params["out"], "a")
         trace_fh = _open_for_writing(files, params["trace"], "w")
         result = run_benchmark(
-            dataset, params["algos"], m_values, int(params["runs"]), int(params["seed"]),
+            dataset, params["algos"], m_values, params["runs"], params["seed"],
             counting_mode=CountingMode(params["mode"]),
             hp=hp, audit=params["audit_theorem1"], trace_fh=trace_fh)
         text = emit(result, params["fmt"])

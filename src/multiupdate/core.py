@@ -98,8 +98,6 @@ def predict_linear(w: np.ndarray, x: SparseVector) -> float:
         raise DimensionMismatchError(
             f"feature index {x.max_index} out of range for dimension {len(w)}"
         )
-    if not x.indices.size:
-        return 0.0
     return float(w[x.indices] @ x.values)
 
 
@@ -265,23 +263,20 @@ def cw_step(alpha_rule, m: float, v: float, phi: float,
             hp: HyperParams) -> tuple[float, float]:
     """(alpha, beta) of one CW-family update at margin m and confidence v.
 
-    The update fires when the shortfall max(0, phi*sqrt(v) - m) exceeds
-    PASSIVE_EPS; alpha == 0 means the cycle stays passive. A v in [-PASSIVE_EPS, 0) is
-    rounding noise on a direction Sigma has collapsed along; it counts as 0,
-    which is passive. A NaN or a v below -PASSIVE_EPS can only come from a
-    covariance that is no longer positive definite, so it raises
-    NumericalDegeneracyError rather than failing inside the square root.
+    The update fires when v and the shortfall max(0, phi*sqrt(v) - m) both
+    exceed PASSIVE_EPS and alpha_rule gives a positive alpha; the caller
+    keeps a cycle with alpha 0 passive. A v in [-PASSIVE_EPS, 0) is rounding
+    noise on a direction Sigma has collapsed along, passive like any small v;
+    v is tested before its square root is taken. A NaN or a v below
+    -PASSIVE_EPS can only come from a covariance that is no longer positive
+    definite, so it raises NumericalDegeneracyError.
     """
     if not v >= -PASSIVE_EPS:
         raise NumericalDegeneracyError(
             f"x^T Sigma x = {v!r}: the covariance lost positive definiteness")
-    if v < 0.0:
-        v = 0.0
-    if max(0.0, phi * math.sqrt(v) - m) <= PASSIVE_EPS or v <= PASSIVE_EPS:
+    if v <= PASSIVE_EPS or max(0.0, phi * math.sqrt(v) - m) <= PASSIVE_EPS:
         return 0.0, 0.0
     alpha = alpha_rule(m, v, phi, hp)
-    if alpha <= 0.0:
-        return 0.0, 0.0
     u = 0.25 * (-alpha * v * phi + math.sqrt(alpha * alpha * v * v * phi * phi + 4.0 * v)) ** 2
     beta = alpha * phi / (math.sqrt(u) + v * alpha * phi)
     return alpha, beta
@@ -328,12 +323,6 @@ def romma_coefs(xsq: float, wsq: float, margin: float) -> tuple[float, float] | 
     if wsq <= ROMMA_EPS or abs(den) < ROMMA_EPS:
         return None
     return (xsq * wsq - margin) / den, wsq * (1.0 - margin) / den
-
-
-def arow_step(loss: float, v: float, r: float) -> tuple[float, float]:
-    """AROW's (alpha, beta): beta = 1/(v + r), alpha = loss * beta."""
-    beta = 1.0 / (v + r)
-    return loss * beta, beta
 
 
 class PerceptronStep:
@@ -427,6 +416,6 @@ class ArowStep:
         v = self.DIR_SQ * v
         if v <= PASSIVE_EPS:
             return passive(mis)
-        alpha, beta = arow_step(loss, v, self._r(v))
+        beta = 1.0 / (v + self._r(v))
         downdate(self.sigma, sx, self.DIR_SQ * self._shrink(v, beta))
-        return UpdateInfo(True, mis, self._add_dense(sx, y, r, alpha))
+        return UpdateInfo(True, mis, self._add_dense(sx, y, r, loss * beta))

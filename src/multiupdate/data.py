@@ -1,5 +1,5 @@
 """Dataset ingestion: sparse SVM-light/LIBSVM text, label normalization,
-seeded permutations, and subsampling.
+and seeded subsampling.
 
 File format, one instance per non-empty line::
 
@@ -37,11 +37,11 @@ MULTICLASS_SPACE = "multiclass"
 class Dataset:
     """Parsed instances plus their class count.
 
-    labels holds raw file labels until normalize_labels is applied, after
-    which binary datasets use {-1, +1} and multiclass ones 0..K-1.
+    Each instance's label is the raw file label, a float, until
+    normalize_labels maps it to an int: -1/+1 binary, 0..K-1 multiclass.
     """
 
-    instances: tuple[tuple[SparseVector, float], ...]
+    instances: tuple[tuple[SparseVector, float | int], ...]
     d: int
     num_classes: int          # distinct labels, at least 2
     name: str = ""
@@ -233,9 +233,9 @@ def load_dataset(path: str | Path) -> Dataset:
 
 
 def normalize_labels(ds: Dataset) -> Dataset:
-    """Map raw labels onto the canonical spaces; ds itself when they already are.
+    """Map raw labels to the engine's int labels; ds itself when they already are.
 
-    Two distinct raw labels become {-1, +1} with the larger raw value taking
+    Two distinct raw labels become -1 and +1 with the larger raw value taking
     +1 (covers {-1,+1}, {0,1}, {1,2} and any other two-label coding). Three
     or more become 0..K-1 in sorted raw order.
     """
@@ -243,22 +243,13 @@ def normalize_labels(ds: Dataset) -> Dataset:
     if len(distinct) < 2:
         raise DataError("dataset has a single distinct label; need at least two")
     if len(distinct) == 2:
-        mapping = {distinct[0]: -1.0, distinct[1]: 1.0}
+        mapping = {distinct[0]: -1, distinct[1]: 1}
     else:
-        mapping = {raw: float(i) for i, raw in enumerate(distinct)}
-    if all(raw == mapped for raw, mapped in mapping.items()):
+        mapping = {raw: i for i, raw in enumerate(distinct)}
+    if (all(raw == mapped for raw, mapped in mapping.items())
+            and all(type(y) is int for _, y in ds.instances)):
         return ds
     return replace(ds, instances=tuple((x, mapping[y]) for x, y in ds.instances))
-
-
-def as_learning_instances(ds: Dataset) -> list[tuple[SparseVector, int]]:
-    """Instances with normalized integer labels, ready for the engine."""
-    return [(x, int(y)) for x, y in normalize_labels(ds).instances]
-
-
-def permute(n: int, seed: int) -> list[int]:
-    """Reproducible permutation of range(n); see rng.permutation for the pinned procedure."""
-    return permutation(n, seed)
 
 
 def subsample(ds: Dataset, k: int, seed: int) -> Dataset:

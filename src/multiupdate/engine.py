@@ -251,9 +251,3 @@ def trace_records(records: Sequence[InstanceRecord], **meta) -> list[str]:
                        sum_delta_sq=sq, w_star_norm=w_star, w0_norm=w0)
             lines.append(json.dumps(row, separators=(",", ":")) + "\n")
     return lines
-
-
-def write_trace(fh, lines: list[str]) -> None:
-    """Write trace_records() lines, one write per line."""
-    for line in lines:
-        fh.write(line)

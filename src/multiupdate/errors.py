@@ -24,8 +24,9 @@ class NumericalDegeneracyError(RuntimeError):
     """A second-order learner's covariance lost positive definiteness.
 
     Raised before the degenerate update is committed: either the proposed
-    covariance has a non-positive diagonal entry, or x^T Sigma x < 0 for the
-    current instance (the CW family would take its square root).
+    covariance has a non-positive diagonal entry, or the CW family's
+    x^T Sigma x is NaN or below -PASSIVE_EPS. An x^T Sigma x in
+    [-PASSIVE_EPS, 0) is rounding noise and gives a passive cycle instead.
     """
 
 

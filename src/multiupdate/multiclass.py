@@ -62,8 +62,6 @@ class MulticlassLearner(Learner):
             raise DimensionMismatchError(
                 f"feature index {x.max_index} out of range for dimension {self.d}"
             )
-        if not x.indices.size:
-            return np.zeros(self.K)
         # Same F-ordered operand as W[:, x.indices], so the same rounding.
         return self.W.T.take(x.indices, axis=0).T @ x.values
 

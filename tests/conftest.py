@@ -76,6 +76,17 @@ def instances_to_text(instances, *, multiclass: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def learner_state(learner) -> dict:
+    """A copy of every attribute of a learner, for before/after comparisons."""
+    return {k: np.copy(v) if isinstance(v, np.ndarray) else v for k, v in vars(learner).items()}
+
+
+def same_state(a: dict, b: dict) -> bool:
+    """Whether two learner_state snapshots hold the same keys and bit-equal values."""
+    return a.keys() == b.keys() and all(
+        np.array_equal(a[k], b[k]) if isinstance(a[k], np.ndarray) else a[k] == b[k] for k in a)
+
+
 INDEFINITE_LINES = ("1 1:1 2:-1\n2 1:-0.5 2:0.6\n3 1:0.9 2:-1.1\n"
                     "1 1:-1 2:0.8\n2 1:0.7 2:-0.7\n3 1:-1.2 2:1\n")
 """A three-class d=2 file whose every row x has x^T Sigma x < 0 under

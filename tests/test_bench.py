@@ -17,10 +17,11 @@ from multiupdate.bench import (
     run_benchmark,
 )
 from multiupdate.binary import BINARY_KINDS
-from multiupdate.data import parse_text, permute
+from multiupdate.data import parse_text
 from multiupdate.engine import BoundReport, CountingMode, InstanceBound
 from multiupdate.errors import ConfigError, NumericalDegeneracyError
 from multiupdate.multiclass import MULTICLASS_KINDS
+from multiupdate.rng import permutation
 
 from conftest import blob_instances, instances_to_text, separable_instances
 
@@ -132,7 +133,7 @@ class TestProtocol:
 
     @pytest.mark.parametrize("n", [1, 7, 1000, 10000])
     def test_fingerprint_matches_the_per_element_digest(self, n):
-        perm = permute(n, 3)
+        perm = permutation(n, 3)
         h = hashlib.sha1()
         for i in perm:
             h.update(i.to_bytes(8, "little"))

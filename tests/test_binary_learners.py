@@ -12,11 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multiupdate.binary import BINARY_KINDS, make_binary
-from multiupdate.core import PASSIVE_EPS, SparseVector, hinge_loss
+from multiupdate.core import PASSIVE_EPS, SparseVector, hinge_loss, predict_linear
+from multiupdate.data import parse_text
 from multiupdate.errors import ConfigError
 from multiupdate.params import HyperParams
 
-from conftest import separable_instances
+from conftest import learner_state, same_state, separable_instances
 
 HP = HyperParams()
 
@@ -112,6 +113,25 @@ class TestCatalog:
         assert not info.triggered
         assert info.delta_sq_norm == 0.0
         assert learner.primary_norm() == 0.0
+
+    @pytest.mark.parametrize("kind", sorted(BINARY_KINDS))
+    def test_empty_row_after_updates_scores_zero_and_is_passive(self, kind):
+        # the empty row is parsed next to a nonzero one, as a file delivers it
+        (x, _), (empty, _) = parse_text("+1 1:0.5 2:-1\n-1\n").instances
+        assert empty.indices.size == 0
+        learner = make_binary(kind, 3, HP)
+        for y in (+1, -1, +1):
+            learner.begin_instance()
+            learner.step(x, y)
+        assert learner.primary_norm() > 0.0
+        assert predict_linear(np.arange(1.0, 4.0), empty) == 0.0
+        assert learner.score(empty) == 0.0
+        before = learner_state(learner)
+        for y in (+1, -1):
+            learner.begin_instance()
+            before["t"] += 1
+            assert learner.step(empty, y) == (False, True, 0.0)
+            assert same_state(learner_state(learner), before)
 
 
 class TestHandValues:

@@ -229,6 +229,8 @@ class TestConfigFile:
         ({"algos": 5}, "unknown algorithm '5'"),
         ({"runs": 2.7}, "option 'runs': 2.7 is not a valid integer"),
         ({"seed": True}, "option 'seed': True is not a valid integer"),
+        ({"m": None}, "option 'm': null is not a valid value"),
+        ({"seed": None}, "option 'seed': null is not a valid value"),
     ])
     def test_config_value_of_wrong_type(self, binary_file, tmp_path, capsys, entry, message):
         cfg = tmp_path / "cfg.json"

@@ -14,18 +14,18 @@ from multiupdate import data
 from multiupdate.core import SparseVector
 from multiupdate.data import (
     BINARY_SPACE,
+    Dataset,
     CHUNK_LINES,
     MAX_INDEX,
     MULTICLASS_SPACE,
-    as_learning_instances,
     load_dataset,
     normalize_labels,
     parse_sparse_text,
     parse_text,
-    permute,
     subsample,
 )
 from multiupdate.errors import DataError
+from multiupdate.rng import permutation
 
 
 class TestParsing:
@@ -308,11 +308,14 @@ class TestNormalization:
         norm = normalize_labels(ds)
         assert [y for _, y in norm.instances] == [-1.0, 1.0]
 
-    def test_pm_one_unchanged(self):
+    def test_pm_one_values_kept_as_ints(self):
         ds = parse_text("+1 1:1\n-1 1:2\n")
         norm = normalize_labels(ds)
-        assert [y for _, y in norm.instances] == [1.0, -1.0]
-        assert norm.instances is ds.instances  # no copy when already canonical
+        assert [y for _, y in norm.instances] == [1, -1]
+        assert all(type(y) is int for _, y in norm.instances)
+        # the parsed float labels get one int copy; int labels get none
+        assert norm.instances is not ds.instances
+        assert normalize_labels(norm) is norm
 
     def test_multiclass_one_based_to_zero_based(self):
         lines = "".join(f"{c} 1:{c}\n" for c in range(1, 8))
@@ -338,24 +341,32 @@ class TestNormalization:
         with pytest.raises(DataError, match="single distinct label"):
             normalize_labels(ds)
 
-    def test_as_learning_instances_ints(self):
-        ds = parse_text("0 1:1\n1 1:2\n")
-        inst = as_learning_instances(ds)
-        assert [y for _, y in inst] == [-1, 1]
-        assert all(isinstance(y, int) for _, y in inst)
+    @pytest.mark.parametrize("text, labels", [
+        ("0 1:1\n1 1:2\n", [-1, 1]),
+        ("2 1:1\n1 1:2\n3 1:3\n", [1, 0, 2]),
+    ], ids=["binary", "multiclass"])
+    def test_normalized_labels_are_ints(self, text, labels):
+        inst = normalize_labels(parse_text(text)).instances
+        assert [y for _, y in inst] == labels
+        assert all(type(y) is int for _, y in inst)
+
+    def test_int_labels_off_the_canonical_space_are_mapped(self):
+        x = SparseVector([0], [1.0])
+        ds = Dataset(instances=((x, 0), (x, 1)), d=1, num_classes=2)
+        assert [y for _, y in normalize_labels(ds).instances] == [-1, 1]
 
 
 class TestPermutation:
     def test_golden(self):
-        assert permute(5, 42) == [0, 1, 3, 4, 2]
+        assert permutation(5, 42) == [0, 1, 3, 4, 2]
 
     @given(n=st.integers(min_value=1, max_value=200),
            seed=st.integers(min_value=0, max_value=2**64 - 1))
     @settings(max_examples=40, deadline=None)
     def test_valid_and_deterministic(self, n, seed):
-        p = permute(n, seed)
+        p = permutation(n, seed)
         assert sorted(p) == list(range(n))
-        assert permute(n, seed) == p
+        assert permutation(n, seed) == p
 
 
 class TestSubsample:
@@ -368,7 +379,7 @@ class TestSubsample:
         sub = subsample(ds, 20, seed=3)
         assert sub.n == 20
         assert sorted(y for _, y in sub.instances) == sorted(y for _, y in ds.instances)
-        perm = permute(20, 3)
+        perm = permutation(20, 3)
         assert sub.instances == tuple(ds.instances[i] for i in perm)
 
     def test_out_of_range(self):

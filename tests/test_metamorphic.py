@@ -1,0 +1,78 @@
+"""Metamorphic relations on the whole CLI sweep (Xie et al., JSS 2011).
+
+Each transformation mirrors every learner's state exactly in IEEE
+arithmetic, so the sweep must write the same CSV and trace bytes:
+
+- flipping every binary label mirrors w, mu and SOP's v (w -> -w) and keeps
+  every margin y*s, so all 16 binary kinds are unchanged;
+- negating every feature mirrors the same vectors, and the multiclass
+  prototype rows W, and leaves Sigma (a sum of outer products of Sigma x)
+  as it was, so all 16 binary and 13 multiclass kinds are unchanged.
+
+The sweeps run every kind on the golden stand-ins with the audit and the
+trace on, so the state carried across instances and runs is covered, not
+only one instance.
+"""
+from __future__ import annotations
+
+import functools
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from conftest import blob_instances, instances_to_text, separable_instances
+from multiupdate.cli import main
+from multiupdate.core import SparseVector
+
+BINARY = separable_instances(80, 8, seed=11, margin=0.02, noise=0.2, scale=0.3)
+MULTICLASS = blob_instances(80, 6, 4, seed=13, spread=1.5)
+
+
+@pytest.fixture(autouse=True)
+def _serial(monkeypatch):
+    monkeypatch.delenv("BENCH_THREADS", raising=False)
+
+
+def _sweep(instances, multiclass: bool) -> tuple[bytes, bytes]:
+    """(CSV bytes, trace bytes) of `multiupdate bench` over every kind."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = tmp / "data.txt"
+        data.write_text(instances_to_text(instances, multiclass=multiclass))
+        rc = main(["bench", "--data", str(data), "--algos", "all", "--m", "1,4,32",
+                   "--runs", "2", "--seed", "0", "--audit-theorem1", "--format", "csv",
+                   "--out", str(tmp / "out.csv"), "--trace", str(tmp / "trace.jsonl")])
+        assert rc == 0
+        return (tmp / "out.csv").read_bytes(), (tmp / "trace.jsonl").read_bytes()
+
+
+@functools.cache
+def _base(multiclass: bool) -> tuple[bytes, bytes]:
+    return _sweep(MULTICLASS if multiclass else BINARY, multiclass)
+
+
+def _negated(x: SparseVector) -> SparseVector:
+    return SparseVector(x.indices, -x.values)
+
+
+def test_flipping_every_binary_label_keeps_the_sweep():
+    flipped = [(x, -y) for x, y in BINARY]
+    assert _sweep(flipped, multiclass=False) == _base(False)
+
+
+@pytest.mark.parametrize("multiclass", [False, True], ids=["binary", "multiclass"])
+def test_negating_every_feature_keeps_the_sweep(multiclass):
+    instances = MULTICLASS if multiclass else BINARY
+    negated = [(_negated(x), y) for x, y in instances]
+    assert _sweep(negated, multiclass) == _base(multiclass)
+
+
+@pytest.mark.parametrize("multiclass", [False, True], ids=["binary", "multiclass"])
+def test_the_base_sweep_covers_every_kind_with_updates(multiclass):
+    csv, trace = _base(multiclass)
+    kinds = {row.split(",")[0] for row in csv.decode().splitlines()[1:]}
+    assert len(kinds) == (13 if multiclass else 16)
+    # 3 m values x 2 runs x 80 instances per kind, and some runs update
+    assert trace.count(b"\n") == len(kinds) * 3 * 2 * 80
+    assert b'"updates":1' in trace

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from multiupdate.binary import make_binary
 from multiupdate.core import SparseVector, hinge_loss, romma_coefs
+from multiupdate.data import normalize_labels, parse_text
 from multiupdate.numerics import inv_norm_cdf
 from multiupdate.errors import ConfigError
 from multiupdate.multiclass import MULTICLASS_KINDS, make_multiclass
 from multiupdate.params import HyperParams
 
-from conftest import blob_instances, separable_instances
+from conftest import blob_instances, learner_state, same_state, separable_instances
 
 HP = HyperParams()
 
@@ -80,6 +81,26 @@ class TestCatalog:
         info = learner.step(SparseVector([], []), 1)
         assert not info.triggered
         assert learner.primary_norm() == 0.0
+
+    @pytest.mark.parametrize("kind", sorted(MULTICLASS_KINDS))
+    def test_empty_row_after_updates_scores_zero_and_is_passive(self, kind):
+        # the empty row is parsed next to nonzero ones, as a file delivers it
+        *rows, (empty, _) = normalize_labels(
+            parse_text("1 1:0.5 2:-1\n2 1:-1 3:0.25\n3 2:1\n1\n")).instances
+        assert empty.indices.size == 0
+        learner = make_multiclass(kind, 3, 3, HP)
+        for x, y in rows * 2:
+            learner.begin_instance()
+            learner.step(x, y)
+        assert learner.primary_norm() > 0.0
+        scores = learner.scores(empty)
+        assert scores.shape == (3,) and np.array_equal(scores, np.zeros(3))
+        before = learner_state(learner)
+        for y in range(3):
+            learner.begin_instance()
+            before["t"] += 1
+            assert learner.step(empty, y) == (False, y != 0, 0.0)
+            assert same_state(learner_state(learner), before)
 
 
 class TestPrediction:
