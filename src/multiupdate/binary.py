@@ -30,7 +30,7 @@ def _sq_change(w: np.ndarray, old: np.ndarray | None) -> float:
     if old is None:
         return 0.0
     delta = w - old
-    return float(delta @ delta)
+    return float(delta.dot(delta))
 
 
 class BinaryLearner(Learner):
@@ -53,13 +53,13 @@ class FirstOrderLearner(BinaryLearner):
         return predict_linear(self.w, x)
 
     def primary_norm(self):
-        return float(np.linalg.norm(self.w))
+        return math.sqrt(self.w.dot(self.w))
 
     def _add_x(self, x, y, r, coef):
         return sparse_add(self.w, x, coef * y, self.audit)
 
     def _sq_norm(self):
-        return float(self.w @ self.w)
+        return float(self.w.dot(self.w))
 
     def _rescale_add(self, x, y, r, c, g):
         old = self.w.copy() if self.audit else None
@@ -126,7 +126,7 @@ class ALMA(FirstOrderLearner):
         eta = self.hp.alma_C / math.sqrt(self.k)
         old = self.w.copy() if self.audit else None
         self.w[x.indices] += eta * y * x.values / xnorm
-        wnorm = float(np.linalg.norm(self.w))
+        wnorm = math.sqrt(self.w.dot(self.w))
         if wnorm > 1.0:
             self.w /= wnorm
         self.k += 1
@@ -167,7 +167,7 @@ class SOP(BinaryLearner):
         return predict_linear(self._w, x)
 
     def primary_norm(self):
-        return float(np.linalg.norm(self.v))
+        return math.sqrt(self.v.dot(self.v))
 
     def step(self, x, y):
         mis, _, _ = self._margin(x, y)
@@ -175,8 +175,8 @@ class SOP(BinaryLearner):
             return passive(mis)
         dsq = sparse_add(self.v, x, float(y), self.audit)
         px, q = sigma_x(self._P, x)
-        self._P -= np.outer(px, px) / (1.0 + q)
-        self._w = self._P @ self.v
+        self._P -= px[:, None] * px / (1.0 + q)
+        self._w = self._P.dot(self.v)
         return UpdateInfo(True, mis, dsq)
 
 
@@ -192,7 +192,7 @@ class SecondOrderLearner(BinaryLearner):
         return predict_linear(self.mu, x)
 
     def primary_norm(self):
-        return float(np.linalg.norm(self.mu))
+        return math.sqrt(self.mu.dot(self.mu))
 
     def _add_dense(self, sx, y, r, coef):
         return dense_add(self.mu, sx, coef * y, self.audit)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import click
 
-from .bench import emit, run_benchmark
+from .bench import emit, resolve_algorithms, run_benchmark
 from .data import load_dataset, normalize_labels, subsample
 from .engine import CountingMode
 from .errors import EXIT_CODES, BoundAuditError, ConfigError
@@ -34,6 +34,9 @@ def _parse_m_list(text: str) -> list[int]:
         raise ConfigError(f"bad --m list {text!r}: {exc}") from None
     if not values:
         raise ConfigError("--m needs at least one value")
+    for m in values:
+        if m < 1:
+            raise ConfigError(f"--m values must be >= 1, got {m}")
     return values
 
 
@@ -146,6 +149,8 @@ def bench(ctx: click.Context, **params) -> None:
     if not 0 <= params["seed"] < 2 ** 64:
         raise ConfigError("--seed must fit in an unsigned 64-bit integer")
     m_values = _parse_m_list(params["m_list"])
+    if params["runs"] < 1:
+        raise ConfigError("--runs must be >= 1")
     if params["out"] and params["trace"] and (
             os.path.realpath(params["out"]) == os.path.realpath(params["trace"])):
         raise ConfigError(f"--out and --trace name the same file {params['out']}")
@@ -156,15 +161,18 @@ def bench(ctx: click.Context, **params) -> None:
         dataset = subsample(dataset, params["subsample"], params["seed"])
     log.debug("dataset %s: n=%d d=%d classes=%d", dataset.name,
               len(dataset.instances), dataset.d, dataset.num_classes)
+    algorithms = resolve_algorithms(params["algos"], dataset.label_space)
 
     with contextlib.ExitStack() as files:
-        # Both files open before the sweep, so a bad path costs no sweep work.
-        # The report file is opened for appending and emptied only when the
-        # report is written, so a sweep that fails leaves its old contents.
+        # Every option is validated above, then both files open before the
+        # sweep: a usage error leaves existing files as they were, and a bad
+        # path costs no sweep work. The report file is opened for appending
+        # and emptied only when the report is written, so a sweep that fails
+        # leaves its old contents.
         out_fh = _open_for_writing(files, params["out"], "a")
         trace_fh = _open_for_writing(files, params["trace"], "w")
         result = run_benchmark(
-            dataset, params["algos"], m_values, params["runs"], params["seed"],
+            dataset, algorithms, m_values, params["runs"], params["seed"],
             counting_mode=CountingMode(params["mode"]),
             hp=hp, audit=params["audit_theorem1"], trace_fh=trace_fh)
         text = emit(result, params["fmt"])

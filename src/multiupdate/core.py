@@ -54,7 +54,7 @@ class SparseVector:
         self.indices = idx
         self.values = val
         self.max_index = int(idx[-1]) if idx.size else -1
-        self._sq_norm = float(val @ val)
+        self._sq_norm = float(val.dot(val))
 
     @classmethod
     def _view(cls, indices: np.ndarray, values: np.ndarray, max_index: int) -> SparseVector:
@@ -68,7 +68,7 @@ class SparseVector:
         x.indices = indices
         x.values = values
         x.max_index = max_index
-        x._sq_norm = float(values @ values)
+        x._sq_norm = float(values.dot(values))
         return x
 
     def squared_norm(self) -> float:
@@ -98,7 +98,7 @@ def predict_linear(w: np.ndarray, x: SparseVector) -> float:
         raise DimensionMismatchError(
             f"feature index {x.max_index} out of range for dimension {len(w)}"
         )
-    return float(w[x.indices] @ x.values)
+    return float(w[x.indices].dot(x.values))
 
 
 def hinge_loss(y: int, score: float) -> float:
@@ -179,6 +179,10 @@ class Learner:
         raise NotImplementedError
 
     def primary_norm(self) -> float:
+        """L2 norm of the audited vector (Frobenius for a matrix), computed as
+        math.sqrt(v.dot(v)) on the flat vector: the same ddot and the same
+        correctly rounded square root np.linalg.norm uses for ord=None, so
+        the same bits, without its Python-level dispatch."""
         raise NotImplementedError
 
 
@@ -290,9 +294,13 @@ def sigma_x(sigma: np.ndarray, x: SparseVector) -> tuple[np.ndarray, float]:
     symmetric in IEEE arithmetic), and they have the same F-ordered layout,
     so the product takes the same BLAS path and rounds the same way. A
     C-ordered column gather would round differently.
+
+    Both products go through ndarray.dot rather than @: the same gemv and
+    ddot calls on the same operands, so the same bits, with about half the
+    per-call dispatch of the matmul ufunc.
     """
-    sx = sigma.take(x.indices, axis=0).T @ x.values
-    return sx, float(sx[x.indices] @ x.values)
+    sx = sigma.take(x.indices, axis=0).T.dot(x.values)
+    return sx, float(sx[x.indices].dot(x.values))
 
 
 def downdate(sigma: np.ndarray, sx: np.ndarray, coef: float) -> None:
@@ -300,11 +308,18 @@ def downdate(sigma: np.ndarray, sx: np.ndarray, coef: float) -> None:
 
     A non-positive diagonal after the update means the closed form
     degenerated numerically: NumericalDegeneracyError is raised and Sigma is
-    left untouched.
+    left untouched. A NaN in the diagonal gap does not raise.
+
+    The outer product is the broadcast sx[:, None] * sx, which forms each
+    element with the same single multiply as np.multiply.outer. The check
+    reads gap[gap.argmin()] rather than the ufunc reduction gap.min(): argmin
+    picks the first NaN where min would propagate it, and a NaN compares
+    False either way.
     """
-    upd = np.multiply.outer(sx, sx)
+    upd = sx[:, None] * sx
     upd *= coef
-    if (sigma.diagonal() - upd.diagonal()).min() <= 0.0:
+    gap = sigma.diagonal() - upd.diagonal()
+    if gap[gap.argmin()] <= 0.0:
         raise NumericalDegeneracyError("covariance update lost positive definiteness")
     sigma -= upd
 

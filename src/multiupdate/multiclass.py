@@ -23,6 +23,8 @@ The audited state vector is the whole prototype matrix W (Frobenius norm).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import (PASSIVE_EPS, ArowStep, CWStep, Learner, PAStep, PerceptronStep, RommaStep,
@@ -63,22 +65,23 @@ class MulticlassLearner(Learner):
                 f"feature index {x.max_index} out of range for dimension {self.d}"
             )
         # Same F-ordered operand as W[:, x.indices], so the same rounding.
-        return self.W.T.take(x.indices, axis=0).T @ x.values
+        return self.W.T.take(x.indices, axis=0).T.dot(x.values)
 
     def predict(self, x: SparseVector) -> int:
-        """Max-score class; ties go to the lowest index (np.argmax's rule)."""
-        return int(np.argmax(self.scores(x)))
+        """Max-score class; ties go to the lowest index (argmax's rule)."""
+        return int(self.scores(x).argmax())
 
     def primary_norm(self) -> float:
-        return float(np.linalg.norm(self.W))
+        w = self.W.ravel()
+        return math.sqrt(w.dot(w))
 
     def _margin_parts(self, x: SparseVector, y: int):
         """(scores, predicted, runner-up r)."""
         s = self.scores(x)
-        pred = int(np.argmax(s))
+        pred = int(s.argmax())
         masked = s.copy()
         masked[y] = -np.inf
-        return s, pred, int(np.argmax(masked))
+        return s, pred, int(masked.argmax())
 
     def _margin(self, x, y):
         s, pred, r = self._margin_parts(x, y)

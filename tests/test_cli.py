@@ -153,6 +153,30 @@ class TestOutputFiles:
         assert run_cli(*common, "--algos", "PA", "--out", str(fresh)) == 0
         assert out.read_bytes() == fresh.read_bytes()
 
+    @pytest.mark.parametrize("bad, message", [
+        (("--algos", "NOPE"), "error: unknown algorithm 'NOPE'"),
+        (("--m", "1,0"), "error: --m values must be >= 1, got 0\n"),
+        (("--algos", "M_PA"), "error: algorithm 'M_PA' does not match"),
+        (("--runs", "0"), "error: --runs must be >= 1\n"),
+    ], ids=["unknown-algorithm", "m-zero", "label-space", "runs-zero"])
+    def test_usage_error_leaves_out_and_trace_untouched(self, binary_file, tmp_path,
+                                                        monkeypatch, capsys, bad, message):
+        calls = []
+        monkeypatch.setattr("multiupdate.cli.run_benchmark",
+                            lambda *a, **k: calls.append(1))
+        out, trace = tmp_path / "report.csv", tmp_path / "t.jsonl"
+        out.write_bytes(b"an older report\n")
+        trace.write_bytes(b"keep\n")
+        rc = run_cli("--data", binary_file, "--algos", "PA", "--m", "1", "--runs", "1",
+                     *bad, "--out", str(out), "--trace", str(trace))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert calls == []
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert out.read_bytes() == b"an older report\n"
+        assert trace.read_bytes() == b"keep\n"
+
     def test_trace_into_missing_directory_exits_1(self, binary_file, tmp_path, capsys):
         out = tmp_path / "table.txt"
         rc = run_cli("--data", binary_file, "--algos", "PA", "--m", "1", "--runs", "1",

@@ -1,0 +1,153 @@
+"""Bit-for-bit references for the numpy entry points the learning cycle uses.
+
+Each cycle reaches its BLAS routines and ufunc loops through the entry point
+with the least dispatch (ndarray.dot, ndarray.argmax, a broadcast multiply,
+math.sqrt of a ddot). These tests keep the plain forms (@, np.argmax,
+np.multiply.outer, np.linalg.norm) as references and require equal bits at
+several dimensions, on full-support and sparse rows.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from multiupdate.binary import BINARY_KINDS, SOP, make_binary
+from multiupdate.core import SparseVector, downdate, predict_linear, sigma_x
+from multiupdate.multiclass import MULTICLASS_KINDS, make_multiclass
+from multiupdate.params import HyperParams
+
+DIMS = (1, 8, 21, 54)
+K = 4
+
+
+def _rows(d: int, seed: int, n: int = 6):
+    """n full-support rows, then n rows on a random subset of the features."""
+    rng = np.random.default_rng(seed)
+    rows = [SparseVector(np.arange(d), rng.normal(size=d)) for _ in range(n)]
+    for _ in range(n):
+        idx = np.sort(rng.choice(d, size=max(1, d // 3), replace=False))
+        rows.append(SparseVector(idx, rng.normal(size=idx.size)))
+    return rows
+
+
+def _symmetric(d: int, seed: int) -> np.ndarray:
+    """An exactly symmetric, well-conditioned positive definite matrix."""
+    a = np.random.default_rng(seed).normal(size=(d, d))
+    m = a @ a.T / d
+    return (m + m.T) / 2.0 + np.eye(d)
+
+
+def _audited(learner) -> np.ndarray:
+    for name in ("mu", "v", "W", "w"):
+        if hasattr(learner, name):
+            return getattr(learner, name)
+    raise AssertionError(f"{learner.kind} has no audited vector")
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_predict_linear_matches_matmul(d):
+    w = np.random.default_rng(d).normal(size=d)
+    for x in _rows(d, d + 1):
+        assert predict_linear(w, x) == float(w[x.indices] @ x.values)
+        assert x.squared_norm() == float(x.values @ x.values)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_sigma_x_matches_matmul(d):
+    sigma = _symmetric(d, d)
+    for x in _rows(d, d + 2):
+        sx, v = sigma_x(sigma, x)
+        ref = sigma[:, x.indices] @ x.values
+        assert np.array_equal(sx, ref)
+        assert np.array_equal(sx, sigma.take(x.indices, axis=0).T @ x.values)
+        assert v == float(ref[x.indices] @ x.values)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_downdate_matches_outer_product(d):
+    sigma = _symmetric(d, d + 3)
+    for x in _rows(d, d + 4):
+        sx, v = sigma_x(sigma, x)
+        coef = 0.5 / (1.0 + v)
+        ref = sigma - coef * np.multiply.outer(sx, sx)
+        assert downdate(sigma, sx, coef) is None
+        assert np.array_equal(sigma, ref)
+
+
+def test_downdate_with_nan_does_not_raise():
+    # gap.min() propagated the NaN, and NaN <= 0 is False, so a NaN never
+    # raised, even beside a gap that is negative
+    sigma = np.eye(3)
+    sx = np.array([np.nan, 2.0, 0.5])
+    ref = sigma - 1.0 * np.multiply.outer(sx, sx)
+    assert downdate(sigma, sx, 1.0) is None
+    assert np.array_equal(sigma, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("kind", list(BINARY_KINDS))
+def test_binary_primary_norm_matches_linalg_norm(kind, d):
+    learner = make_binary(kind, d, HyperParams())
+    for i, x in enumerate(_rows(d, d + 5)):
+        learner.begin_instance()
+        learner.step(x, 1 if i % 3 else -1)
+    assert np.any(_audited(learner))
+    assert learner.primary_norm() == float(np.linalg.norm(_audited(learner)))
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("kind", list(MULTICLASS_KINDS))
+def test_multiclass_primary_norm_matches_linalg_norm(kind, d):
+    learner = make_multiclass(kind, K, d, HyperParams())
+    for i, x in enumerate(_rows(d, d + 6)):
+        learner.begin_instance()
+        learner.step(x, i % K)
+    assert np.any(learner.W)
+    assert learner.primary_norm() == float(np.linalg.norm(learner.W))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_sop_step_matches_outer_and_matmul(d):
+    learner = make_binary("SOP", d, HyperParams())
+    assert isinstance(learner, SOP)
+    fired = 0
+    for i, x in enumerate(_rows(d, d + 7)):
+        y = 1 if i % 2 else -1
+        v, P = learner.v.copy(), learner._P.copy()
+        learner.begin_instance()
+        if not learner.step(x, y).triggered:
+            continue
+        fired += 1
+        v[x.indices] += y * x.values
+        px = P[:, x.indices] @ x.values
+        P -= np.outer(px, px) / (1.0 + float(px[x.indices] @ x.values))
+        assert np.array_equal(learner.v, v)
+        assert np.array_equal(learner._P, P)
+        assert np.array_equal(learner._w, P @ v)
+    assert fired
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_multiclass_scores_and_decoding_match_argmax(d):
+    learner = make_multiclass("M_PA", K, d, HyperParams())
+    learner.W[...] = np.random.default_rng(d + 8).normal(size=(K, d))
+    for i, x in enumerate(_rows(d, d + 9)):
+        y = i % K
+        s = learner.scores(x)
+        assert np.array_equal(s, learner.W[:, x.indices] @ x.values)
+        assert learner.predict(x) == int(np.argmax(s))
+        masked = s.copy()
+        masked[y] = -np.inf
+        assert learner._margin_parts(x, y)[1:] == (int(np.argmax(s)), int(np.argmax(masked)))
+
+
+def test_tied_multiclass_scores_pick_the_lowest_index():
+    learner = make_multiclass("M_PA", K, 2, HyperParams())
+    learner.W[...] = [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]
+    x = SparseVector([0], [2.0])                  # scores 0, 2, 2, -2
+    assert learner.predict(x) == 1
+    _, pred, r = learner._margin_parts(x, 1)
+    assert (pred, r) == (1, 2)
+    _, pred, r = learner._margin_parts(x, 0)
+    assert (pred, r) == (1, 1)
+    assert learner._margin(x, 3) == (True, -4.0, 1)
