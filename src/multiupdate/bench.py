@@ -7,8 +7,8 @@ aggregate mistake rate, update count, and per-run thread-CPU seconds as
 mean +/- sample std (n-1 denominator; 0 when R = 1).
 
 The sweep is one ordered stream of (algorithm, m, run) tasks, mapped once,
-serially or through one process pool (BENCH_THREADS / the threads argument),
-and consumed in task order, R results per cell. Each run owns its learner, so
+serially or through one process pool of check_sweep's worker count, and
+consumed in task order, R results per cell. Each run owns its learner, so
 pooled and serial sweeps emit identical numbers, audit totals and trace bytes;
 cpu_seconds is thread time and does not see the scheduling.
 """
@@ -140,6 +140,30 @@ def _run_one(kind: str, m: int, run_index: int):
     return stats, audit_summary, lines
 
 
+def check_sweep(m_values: list[int], runs: int, base_seed: int,
+                threads: int | None = None) -> tuple[list[int], int]:
+    """Check a sweep's settings before any work: return the distinct m
+    values in ascending order and the worker count. threads=None reads
+    BENCH_THREADS (unset means 1); the count is capped at runs and at the
+    CPU count."""
+    if not 0 <= base_seed < 2 ** 64:
+        raise ConfigError("--seed must fit in an unsigned 64-bit integer")
+    if runs < 1:
+        raise ConfigError("--runs must be >= 1")
+    if not m_values:
+        raise ConfigError("--m needs at least one m value")
+    for m in m_values:
+        if m < 1:
+            raise ConfigError(f"--m values must be >= 1, got {m}")
+    if threads is None:
+        raw = os.environ.get("BENCH_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ConfigError(f"BENCH_THREADS must be an integer, got {raw!r}") from None
+    return sorted(set(m_values)), max(1, min(threads, runs, os.cpu_count() or 1))
+
+
 def run_benchmark(dataset: Dataset, algorithms: str | list[str], m_values: list[int],
                   runs: int, base_seed: int, *,
                   counting_mode: CountingMode = CountingMode.FIRST_PREDICTION,
@@ -147,20 +171,9 @@ def run_benchmark(dataset: Dataset, algorithms: str | list[str], m_values: list[
                   threads: int | None = None,
                   audit: bool = False,
                   trace_fh=None) -> BenchmarkResult:
-    """Run the full sweep; cells appear in algorithm order, then ascending m."""
-    if runs < 1:
-        raise ConfigError("runs must be >= 1")
-    if not m_values:
-        raise ConfigError("at least one m value is required")
-    for m in m_values:
-        if m < 1:
-            raise ConfigError(f"m values must be >= 1, got {m}")
-    if threads is None:
-        raw = os.environ.get("BENCH_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(f"BENCH_THREADS must be an integer, got {raw!r}") from None
+    """Run the full sweep; cells appear in algorithm order, then ascending m.
+    Trace rows stream out cell by cell, so a failed run keeps earlier rows."""
+    m_values, threads = check_sweep(m_values, runs, base_seed, threads)
     hp = hp or HyperParams()
     algorithms = resolve_algorithms(algorithms, dataset.label_space)
 
@@ -174,8 +187,6 @@ def run_benchmark(dataset: Dataset, algorithms: str | list[str], m_values: list[
         log.debug("run %d permutation fingerprint %s (shared across all cells)", r, fp)
     sequences = [[instances[i] for i in perm] for perm in perms]
 
-    threads = max(1, min(threads, runs, os.cpu_count() or 1))
-
     _CTX.update(
         sequences=sequences, d=dataset.d, num_classes=num_classes, hp=hp,
         counting_mode=counting_mode, audit=audit, want_trace=trace_fh is not None,
@@ -186,7 +197,7 @@ def run_benchmark(dataset: Dataset, algorithms: str | list[str], m_values: list[
         counting_mode=counting_mode, permutation_fingerprints=fingerprints,
     )
 
-    cells = [(kind, m) for kind in algorithms for m in sorted(set(m_values))]
+    cells = [(kind, m) for kind in algorithms for m in m_values]
     pool = None
     try:
         if threads > 1:

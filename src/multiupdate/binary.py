@@ -47,13 +47,10 @@ class BinaryLearner(Learner):
 class FirstOrderLearner(BinaryLearner):
     def __init__(self, d, hp):
         super().__init__(d, hp)
-        self.w = np.zeros(d)
+        self.w = self._audited = np.zeros(d)
 
     def score(self, x):
         return predict_linear(self.w, x)
-
-    def primary_norm(self):
-        return math.sqrt(self.w.dot(self.w))
 
     def _add_x(self, x, y, r, coef):
         return sparse_add(self.w, x, coef * y, self.audit)
@@ -159,15 +156,12 @@ class SOP(BinaryLearner):
 
     def __init__(self, d, hp):
         super().__init__(d, hp)
-        self.v = np.zeros(d)
+        self.v = self._audited = np.zeros(d)
         self._w = np.zeros(d)
         self._P = np.eye(d) / hp.sop_a
 
     def score(self, x):
         return predict_linear(self._w, x)
-
-    def primary_norm(self):
-        return math.sqrt(self.v.dot(self.v))
 
     def step(self, x, y):
         mis, _, _ = self._margin(x, y)
@@ -185,14 +179,11 @@ class SecondOrderLearner(BinaryLearner):
 
     def __init__(self, d, hp):
         super().__init__(d, hp)
-        self.mu = np.zeros(d)
+        self.mu = self._audited = np.zeros(d)
         self.sigma = np.eye(d)
 
     def score(self, x):
         return predict_linear(self.mu, x)
-
-    def primary_norm(self):
-        return math.sqrt(self.mu.dot(self.mu))
 
     def _add_dense(self, sx, y, r, coef):
         return dense_add(self.mu, sx, coef * y, self.audit)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import click
 
-from .bench import emit, resolve_algorithms, run_benchmark
+from .bench import check_sweep, emit, resolve_algorithms, run_benchmark
 from .data import load_dataset, normalize_labels, subsample
 from .engine import CountingMode
 from .errors import EXIT_CODES, BoundAuditError, ConfigError
@@ -29,15 +29,9 @@ log = logging.getLogger(__name__)
 
 def _parse_m_list(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --m list {text!r}: {exc}") from None
-    if not values:
-        raise ConfigError("--m needs at least one value")
-    for m in values:
-        if m < 1:
-            raise ConfigError(f"--m values must be >= 1, got {m}")
-    return values
 
 
 def _parse_overrides(pairs: tuple[str, ...]) -> dict[str, float]:
@@ -78,7 +72,7 @@ def _apply_config_file(ctx: click.Context, params: dict, path: str) -> None:
         name for name in params
         if ctx.get_parameter_source(name) == click.core.ParameterSource.COMMANDLINE
     }
-    aliases = {"m": "m_list", "format": "fmt", "config": "config_path"}
+    aliases = {"m": "m_list", "format": "fmt"}
     options = {p.name: p for p in ctx.command.params}
     for key, value in raw.items():
         name = key.replace("-", "_")
@@ -146,11 +140,9 @@ def bench(ctx: click.Context, **params) -> None:
         level=logging.DEBUG if params["verbose"] else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr, force=True)
 
-    if not 0 <= params["seed"] < 2 ** 64:
-        raise ConfigError("--seed must fit in an unsigned 64-bit integer")
+    # every sweep setting, BENCH_THREADS included, fails before the data is read
     m_values = _parse_m_list(params["m_list"])
-    if params["runs"] < 1:
-        raise ConfigError("--runs must be >= 1")
+    check_sweep(m_values, params["runs"], params["seed"])
     if params["out"] and params["trace"] and (
             os.path.realpath(params["out"]) == os.path.realpath(params["trace"])):
         raise ConfigError(f"--out and --trace name the same file {params['out']}")
@@ -164,11 +156,12 @@ def bench(ctx: click.Context, **params) -> None:
     algorithms = resolve_algorithms(params["algos"], dataset.label_space)
 
     with contextlib.ExitStack() as files:
-        # Every option is validated above, then both files open before the
-        # sweep: a usage error leaves existing files as they were, and a bad
-        # path costs no sweep work. The report file is opened for appending
-        # and emptied only when the report is written, so a sweep that fails
-        # leaves its old contents.
+        # Every option and BENCH_THREADS is validated above, then both files
+        # open before the sweep: a usage error leaves existing files as they
+        # were, and a bad path costs no sweep work. The report file is opened
+        # for appending and emptied only when the report is written, so a
+        # sweep that fails leaves its old contents; the trace is a streamed
+        # log, so a sweep that fails leaves the rows of the cells before it.
         out_fh = _open_for_writing(files, params["out"], "a")
         trace_fh = _open_for_writing(files, params["trace"], "w")
         result = run_benchmark(

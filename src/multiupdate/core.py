@@ -182,8 +182,11 @@ class Learner:
         """L2 norm of the audited vector (Frobenius for a matrix), computed as
         math.sqrt(v.dot(v)) on the flat vector: the same ddot and the same
         correctly rounded square root np.linalg.norm uses for ord=None, so
-        the same bits, without its Python-level dispatch."""
-        raise NotImplementedError
+        the same bits, without its Python-level dispatch. Each state base
+        binds v = self._audited once in __init__ (w, SOP's v, mu, or the view
+        W.reshape(-1)); every update writes in place and nothing rebinds them
+        after __init__, and the tests against np.linalg.norm catch a stale view."""
+        return math.sqrt(self._audited.dot(self._audited))
 
 
 def sparse_add(row: np.ndarray, x: SparseVector, coef: float, audit: bool = True) -> float:

@@ -23,8 +23,6 @@ The audited state vector is the whole prototype matrix W (Frobenius norm).
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (PASSIVE_EPS, ArowStep, CWStep, Learner, PAStep, PerceptronStep, RommaStep,
@@ -58,6 +56,7 @@ class MulticlassLearner(Learner):
         super().__init__(d, hp)
         self.K = num_classes
         self.W = np.zeros((num_classes, d))
+        self._audited = self.W.reshape(-1)
 
     def scores(self, x: SparseVector) -> np.ndarray:
         if x.max_index >= self.d:
@@ -70,10 +69,6 @@ class MulticlassLearner(Learner):
     def predict(self, x: SparseVector) -> int:
         """Max-score class; ties go to the lowest index (argmax's rule)."""
         return int(self.scores(x).argmax())
-
-    def primary_norm(self) -> float:
-        w = self.W.ravel()
-        return math.sqrt(w.dot(w))
 
     def _margin_parts(self, x: SparseVector, y: int):
         """(scores, predicted, runner-up r)."""

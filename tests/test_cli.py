@@ -177,6 +177,32 @@ class TestOutputFiles:
         assert out.read_bytes() == b"an older report\n"
         assert trace.read_bytes() == b"keep\n"
 
+    @pytest.mark.parametrize("source", ["env", "config"])
+    def test_settings_error_leaves_out_and_trace_untouched(self, binary_file, tmp_path,
+                                                           monkeypatch, capsys, source):
+        # BENCH_THREADS and a config file's keys are checked with the other
+        # settings, before either output file is opened
+        out, trace = tmp_path / "report.csv", tmp_path / "t.jsonl"
+        out.write_bytes(b"an older report\n")
+        trace.write_bytes(b"keep\n")
+        extra = ()
+        if source == "env":
+            monkeypatch.setenv("BENCH_THREADS", "abc")
+            message = "error: BENCH_THREADS must be an integer, got 'abc'\n"
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"config": "other.json"}))
+            extra = ("--config", str(cfg))
+            message = f"error: config file {cfg}: unknown option 'config'\n"
+        rc = run_cli("--data", binary_file, "--algos", "PA", "--m", "1", "--runs", "2",
+                     *extra, "--out", str(out), "--trace", str(trace))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == message
+        assert captured.out == ""
+        assert out.read_bytes() == b"an older report\n"
+        assert trace.read_bytes() == b"keep\n"
+
     def test_trace_into_missing_directory_exits_1(self, binary_file, tmp_path, capsys):
         out = tmp_path / "table.txt"
         rc = run_cli("--data", binary_file, "--algos", "PA", "--m", "1", "--runs", "1",
@@ -255,6 +281,7 @@ class TestConfigFile:
         ({"seed": True}, "option 'seed': True is not a valid integer"),
         ({"m": None}, "option 'm': null is not a valid value"),
         ({"seed": None}, "option 'seed': null is not a valid value"),
+        ({"config": "other.json"}, "unknown option 'config'"),
     ])
     def test_config_value_of_wrong_type(self, binary_file, tmp_path, capsys, entry, message):
         cfg = tmp_path / "cfg.json"
@@ -348,6 +375,30 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith("error: M_CW m=1 run=0: ")
         assert "positive definiteness" in err[0]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_sweep_keeps_the_report_and_the_streamed_trace(
+            self, tmp_path, monkeypatch, capsys, threads, indefinite_m_cw):
+        # the report is written at the end, so a failed sweep leaves the old
+        # one; the trace is a streamed log, so it holds the rows of every
+        # cell before the failing one: all of M_PA's, none of M_CW's
+        path = tmp_path / "indefinite.txt"
+        path.write_text(INDEFINITE_LINES)
+        out, trace, alone = tmp_path / "report.csv", tmp_path / "t.jsonl", tmp_path / "pa.jsonl"
+        out.write_bytes(b"an older report\n")
+        trace.write_bytes(b"keep\n")
+        monkeypatch.setenv("BENCH_THREADS", threads)
+        common = ("--data", str(path), "--m", "1,4,16", "--runs", "2", "--format", "csv")
+        rc = run_cli(*common, "--algos", "M_PA,M_CW", "--out", str(out), "--trace", str(trace))
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("error: M_CW m=1 run=0: ") and err.count("\n") == 1
+        assert out.read_bytes() == b"an older report\n"
+        assert run_cli(*common, "--algos", "M_PA", "--trace", str(alone)) == 0
+        assert trace.read_bytes() == alone.read_bytes()
+        rows = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert len(rows) == 3 * 2 * 6
+        assert {row["algorithm"] for row in rows} == {"M_PA"}
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_rounding_level_negative_confidence_exits_0(self, tmp_path, monkeypatch, capsys,
@@ -465,6 +516,16 @@ class TestExitCodes:
         assert rc == 1
         assert captured.err == f"error: BENCH_THREADS must be an integer, got {value!r}\n"
         assert captured.out == ""
+
+    def test_bench_threads_checked_before_the_data_is_read(self, tmp_path, monkeypatch,
+                                                           capsys):
+        calls = []
+        monkeypatch.setattr("multiupdate.cli.load_dataset", lambda *a: calls.append(a))
+        monkeypatch.setenv("BENCH_THREADS", "abc")
+        rc = run_cli("--data", str(tmp_path / "nope.txt"), "--m", "1", "--runs", "2")
+        assert rc == 1
+        assert calls == []
+        assert capsys.readouterr().err == "error: BENCH_THREADS must be an integer, got 'abc'\n"
 
     def test_usage_errors_from_click(self, binary_file, capsys):
         assert main(["bench"]) == 1                       # missing --data

@@ -7,7 +7,14 @@ arithmetic, so the sweep must write the same CSV and trace bytes:
   every margin y*s, so all 16 binary kinds are unchanged;
 - negating every feature mirrors the same vectors, and the multiclass
   prototype rows W, and leaves Sigma (a sum of outer products of Sigma x)
-  as it was, so all 16 binary and 13 multiclass kinds are unchanged.
+  as it was, so all 16 binary and 13 multiclass kinds are unchanged;
+- scaling every feature by a power of two (4 or 1/8) scales every state
+  vector exactly and keeps every decision for the kinds that are scale-free
+  in exact arithmetic (Perceptron, PA, ALMA, M_PerceptronM/U/S, M_PA), so
+  their CSV rows are unchanged. Their trace norms scale, so only the CSV is
+  compared. Kinds with a C cap, Sigma_0 = I or a fixed rate are not
+  scale-free, and PA1, CW, ROMMA and M_PA1 keep their rows at one of the
+  two scales only, by chance.
 
 The sweeps run every kind on the golden stand-ins with the audit and the
 trace on, so the state carried across instances and runs is covered, not
@@ -34,13 +41,13 @@ def _serial(monkeypatch):
     monkeypatch.delenv("BENCH_THREADS", raising=False)
 
 
-def _sweep(instances, multiclass: bool) -> tuple[bytes, bytes]:
-    """(CSV bytes, trace bytes) of `multiupdate bench` over every kind."""
+def _sweep(instances, multiclass: bool, algos: str = "all") -> tuple[bytes, bytes]:
+    """(CSV bytes, trace bytes) of `multiupdate bench` over algos."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         data = tmp / "data.txt"
         data.write_text(instances_to_text(instances, multiclass=multiclass))
-        rc = main(["bench", "--data", str(data), "--algos", "all", "--m", "1,4,32",
+        rc = main(["bench", "--data", str(data), "--algos", algos, "--m", "1,4,32",
                    "--runs", "2", "--seed", "0", "--audit-theorem1", "--format", "csv",
                    "--out", str(tmp / "out.csv"), "--trace", str(tmp / "trace.jsonl")])
         assert rc == 0
@@ -76,3 +83,20 @@ def test_the_base_sweep_covers_every_kind_with_updates(multiclass):
     # 3 m values x 2 runs x 80 instances per kind, and some runs update
     assert trace.count(b"\n") == len(kinds) * 3 * 2 * 80
     assert b'"updates":1' in trace
+
+
+SCALE_FREE = {False: ["Perceptron", "PA", "ALMA"],
+              True: ["M_PerceptronM", "M_PerceptronU", "M_PerceptronS", "M_PA"]}
+
+
+@pytest.mark.parametrize("factor", [4.0, 0.125], ids=["x4", "x1/8"])
+@pytest.mark.parametrize("multiclass", [False, True], ids=["binary", "multiclass"])
+def test_scaling_every_feature_keeps_the_scale_free_rows(multiclass, factor):
+    instances = MULTICLASS if multiclass else BINARY
+    scaled = [(SparseVector(x.indices, x.values * factor), y) for x, y in instances]
+    kinds = SCALE_FREE[multiclass]
+    csv, _ = _sweep(scaled, multiclass, algos=",".join(kinds))
+    base = _base(multiclass)[0].splitlines(keepends=True)
+    assert csv == b"".join(base[:1] + [row for row in base[1:]
+                                      if row.split(b",")[0].decode() in kinds])
+    assert csv.count(b"\n") == 1 + len(kinds) * 3 * 2
