@@ -133,8 +133,7 @@ def _run_one(kind: str, m: int, run_index: int):
     if _CTX["audit"]:
         report = check_norm_bound(records, m)
         audit_summary = (len(report.instances), report.min_slack,
-                         [AuditFailure(kind, m, run_index, b.index, b.lhs, b.rhs)
-                          for b in report.failures])
+                         [AuditFailure(kind, m, run_index, *f) for f in report.failures])
     lines = (trace_records(records, algorithm=kind, m=m, run=run_index)
              if _CTX["want_trace"] else [])
     return stats, audit_summary, lines
@@ -143,13 +142,16 @@ def _run_one(kind: str, m: int, run_index: int):
 def check_sweep(m_values: list[int], runs: int, base_seed: int,
                 threads: int | None = None) -> tuple[list[int], int]:
     """Check a sweep's settings before any work: return the distinct m
-    values in ascending order and the worker count. threads=None reads
-    BENCH_THREADS (unset means 1); the count is capped at runs and at the
-    CPU count."""
-    if not 0 <= base_seed < 2 ** 64:
-        raise ConfigError("--seed must fit in an unsigned 64-bit integer")
+    values in ascending order and the worker count. Run r permutes with
+    base_seed + r, so every run's seed must fit in 64 bits: the generator
+    would wrap a larger one onto another run's seed. threads=None reads
+    BENCH_THREADS (unset means 1); the count is capped at the CPU count
+    only, because every (kind, m, run) task goes to one pool."""
     if runs < 1:
         raise ConfigError("--runs must be >= 1")
+    if not 0 <= base_seed <= 2 ** 64 - runs:
+        raise ConfigError("--seed must fit in an unsigned 64-bit integer, and so must "
+                          "the last run's seed, --seed + --runs - 1")
     if not m_values:
         raise ConfigError("--m needs at least one m value")
     for m in m_values:
@@ -161,7 +163,7 @@ def check_sweep(m_values: list[int], runs: int, base_seed: int,
             threads = int(raw)
         except ValueError:
             raise ConfigError(f"BENCH_THREADS must be an integer, got {raw!r}") from None
-    return sorted(set(m_values)), max(1, min(threads, runs, os.cpu_count() or 1))
+    return sorted(set(m_values)), max(1, min(threads, os.cpu_count() or 1))
 
 
 def run_benchmark(dataset: Dataset, algorithms: str | list[str], m_values: list[int],

@@ -32,7 +32,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .binary import make_binary
 from .core import Learner, SparseVector
@@ -177,33 +177,18 @@ def run_sequence(kind: str, hp: HyperParams, instances: Sequence[tuple[SparseVec
     return learner, records, stats
 
 
-@dataclass
-class InstanceBound:
-    index: int
-    lhs: float        # ||w*||
-    rhs: float        # ||w0|| + sqrt(M) * sqrt(sum ||delta||^2)
-    slack: float      # rhs - lhs
+class BoundReport(NamedTuple):
+    """What check_norm_bound read off the records: the records themselves,
+    the least slack rhs - ||w*|| (0.0 when there are none), and one
+    (index, ||w*||, rhs) tuple per failing instance, in record order."""
 
-    @property
-    def passed(self) -> bool:
-        return self.lhs <= self.rhs + 1e-9 * (1.0 + self.rhs)
-
-
-@dataclass
-class BoundReport:
-    instances: list[InstanceBound]
+    instances: Sequence[InstanceRecord]
+    min_slack: float
+    failures: list[tuple[int, float, float]]
 
     @property
     def all_passed(self) -> bool:
-        return all(b.passed for b in self.instances)
-
-    @property
-    def failures(self) -> list[InstanceBound]:
-        return [b for b in self.instances if not b.passed]
-
-    @property
-    def min_slack(self) -> float:
-        return min((b.slack for b in self.instances), default=0.0)
+        return not self.failures
 
 
 def check_norm_bound(records: Sequence[InstanceRecord], m: int) -> BoundReport:
@@ -211,17 +196,25 @@ def check_norm_bound(records: Sequence[InstanceRecord], m: int) -> BoundReport:
 
     For instance i with pre-instance norm ||w0||, summed per-cycle squared
     deltas and post-instance norm ||w*||, checks
-    ||w*|| <= ||w0|| + sqrt(M) * (sum_j ||delta_j||^2)^(1/2) with
-    tolerance 1e-9 * (1 + rhs). M is the configured cycle cap (M >= the
-    realized update count by construction).
+    ||w*|| <= rhs = ||w0|| + sqrt(M) * (sum_j ||delta_j||^2)^(1/2) with
+    tolerance 1e-9 * (1 + rhs); a NaN on either side fails. M is the
+    configured cycle cap (M >= the realized update count by construction).
+    One pass over the records gives the least slack, ordered as the builtin
+    min orders it (a leading NaN stays, a later one is passed over), and the
+    failures.
     """
-    results = []
     root_m = math.sqrt(m)
+    min_slack = 0.0
+    failures = []
     for i, r in enumerate(records):
+        lhs = r.w_star_norm
         rhs = r.w0_norm + root_m * math.sqrt(r.sum_delta_sq)
-        results.append(InstanceBound(index=i, lhs=r.w_star_norm,
-                                     rhs=rhs, slack=rhs - r.w_star_norm))
-    return BoundReport(instances=results)
+        slack = rhs - lhs
+        if i == 0 or slack < min_slack:
+            min_slack = slack
+        if not lhs <= rhs + 1e-9 * (1.0 + rhs):
+            failures.append((i, lhs, rhs))
+    return BoundReport(records, min_slack, failures)
 
 
 def trace_records(records: Sequence[InstanceRecord], **meta) -> list[str]:

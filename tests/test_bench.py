@@ -1,6 +1,7 @@
 """Benchmark harness: cell protocol, aggregation, rendering, parallel parity."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -18,7 +19,7 @@ from multiupdate.bench import (
 )
 from multiupdate.binary import BINARY_KINDS
 from multiupdate.data import parse_text
-from multiupdate.engine import BoundReport, CountingMode, InstanceBound
+from multiupdate.engine import CountingMode
 from multiupdate.errors import ConfigError, NumericalDegeneracyError
 from multiupdate.multiclass import MULTICLASS_KINDS
 from multiupdate.rng import permutation
@@ -79,6 +80,15 @@ class TestValidation:
             run_benchmark(binary_ds, ["PA"], [1, 0], runs=1, base_seed=0)
         with pytest.raises(ConfigError, match="at least one m"):
             run_benchmark(binary_ds, ["PA"], [], runs=1, base_seed=0)
+
+    def test_every_run_seed_must_fit_in_64_bits(self, binary_ds):
+        # run r permutes with base_seed + r; past 2**64 - 1 it would wrap to 0
+        with pytest.raises(ConfigError, match="seed"):
+            run_benchmark(binary_ds, ["PA"], [1], runs=2, base_seed=2 ** 64 - 1)
+        with pytest.raises(ConfigError, match="seed"):
+            run_benchmark(binary_ds, ["PA"], [1], runs=1, base_seed=2 ** 64)
+        result = run_benchmark(binary_ds, ["PA"], [1], runs=1, base_seed=2 ** 64 - 1)
+        assert result.base_seed == 2 ** 64 - 1
 
     def test_label_space_checked_before_any_run(self, binary_ds, monkeypatch):
         def boom(*a, **k):
@@ -175,12 +185,14 @@ class TestProtocol:
     def test_parallel_matches_serial(self, binary_ds, space, algorithms, monkeypatch):
         ds = binary_ds if space == "binary" else _stand_in(space)
         # a halved bound fails some instances of some runs, so the failure
-        # lists carry (kind, m, run) order; the forked workers inherit it
+        # lists carry (kind, m, run) order; the forked workers inherit it.
+        # Halving w0_norm and quartering sum_delta_sq halves rhs exactly.
         check = bench.check_norm_bound
 
         def halved(records, m):
-            return BoundReport([InstanceBound(b.index, b.lhs, b.rhs / 2, b.rhs / 2 - b.lhs)
-                                for b in check(records, m).instances])
+            return check([dataclasses.replace(r, w0_norm=r.w0_norm / 2,
+                                              sum_delta_sq=r.sum_delta_sq / 4)
+                          for r in records], m)
 
         monkeypatch.setattr(bench, "check_norm_bound", halved)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)   # a pool on any machine
@@ -227,9 +239,9 @@ def fake_pools(monkeypatch):
 
 
 class TestPool:
-    @pytest.mark.parametrize("runs, workers", [(3, [2]), (1, [])])
-    def test_workers_capped_at_cpu_count_and_runs(self, binary_ds, monkeypatch, fake_pools,
-                                                  runs, workers):
+    @pytest.mark.parametrize("runs, workers", [(3, [2]), (1, [2])])
+    def test_workers_capped_at_cpu_count(self, binary_ds, monkeypatch, fake_pools,
+                                         runs, workers):
         monkeypatch.setenv("BENCH_THREADS", "5000")
         result = run_benchmark(binary_ds, ["PA", "CW"], [1, 2], runs=runs, base_seed=0)
         assert len(result.cells) == 4

@@ -14,7 +14,7 @@ import multiupdate
 
 from conftest import INDEFINITE_LINES, blob_instances, instances_to_text, separable_instances
 from multiupdate.cli import main
-from multiupdate.engine import BoundReport, InstanceBound
+from multiupdate.engine import BoundReport
 
 
 @pytest.fixture(autouse=True)
@@ -158,7 +158,8 @@ class TestOutputFiles:
         (("--m", "1,0"), "error: --m values must be >= 1, got 0\n"),
         (("--algos", "M_PA"), "error: algorithm 'M_PA' does not match"),
         (("--runs", "0"), "error: --runs must be >= 1\n"),
-    ], ids=["unknown-algorithm", "m-zero", "label-space", "runs-zero"])
+        (("--runs", "2", "--seed", str(2 ** 64 - 1)), "error: --seed must fit"),
+    ], ids=["unknown-algorithm", "m-zero", "label-space", "runs-zero", "last-seed-wraps"])
     def test_usage_error_leaves_out_and_trace_untouched(self, binary_file, tmp_path,
                                                         monkeypatch, capsys, bad, message):
         calls = []
@@ -429,9 +430,16 @@ class TestExitCodes:
         assert run_cli("--data", binary_file, "--algos", "PA", "--m", "1",
                        "--runs", "0") == 1
 
-    def test_bad_seed(self, binary_file):
+    def test_bad_seed(self, binary_file, tmp_path, capsys):
         assert run_cli("--data", binary_file, "--algos", "PA", "--m", "1",
                        "--runs", "1", "--seed=-1") == 1
+        # run 1 would permute with seed 2**64, which wraps to run 0's seed 0;
+        # that fails before the (missing) data is read
+        assert run_cli("--data", str(tmp_path / "nope.txt"), "--algos", "PA", "--m", "1",
+                       "--runs", "2", "--seed", str(2 ** 64 - 1)) == 1
+        assert capsys.readouterr().err.startswith("error: --seed must fit")
+        assert run_cli("--data", binary_file, "--algos", "PA", "--m", "1",
+                       "--runs", "1", "--seed", str(2 ** 64 - 1)) == 0
 
     def test_bad_set_value(self, binary_file, capsys):
         rc = run_cli("--data", binary_file, "--set", "C=-1", "--runs", "1")
@@ -546,7 +554,7 @@ class TestAudit:
 
     def test_audit_failure_exits_3(self, binary_file, monkeypatch, capsys):
         def broken(trace, m):
-            return BoundReport([InstanceBound(index=0, lhs=5.0, rhs=1.0, slack=-4.0)])
+            return BoundReport(trace, min_slack=-4.0, failures=[(0, 5.0, 1.0)])
 
         monkeypatch.setattr("multiupdate.bench.check_norm_bound", broken)
         rc = run_cli("--data", binary_file, "--algos", "PA", "--m", "1",

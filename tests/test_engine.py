@@ -332,9 +332,11 @@ class TestNormBound:
         records = [make_record(w0=0.0, sum_delta_sq=2.0, w_star=math.sqrt(2.0), updates=2)]
         report = check_norm_bound(records, m=2)
         assert report.all_passed
-        bound = report.instances[0]
-        assert bound.rhs == pytest.approx(2.0)
-        assert bound.slack == pytest.approx(2.0 - math.sqrt(2.0))
+        assert report.instances == records
+        assert report.min_slack == pytest.approx(2.0 - math.sqrt(2.0))
+        # rhs = 0 + sqrt(2) * sqrt(2) = 2, which a final norm of 2.001 exceeds
+        over = [make_record(w0=0.0, sum_delta_sq=2.0, w_star=2.001, updates=2)]
+        assert check_norm_bound(over, m=2).failures == [(0, 2.001, pytest.approx(2.0))]
 
     def test_passive_instance_has_zero_slack(self):
         records = [make_record(w0=3.0, sum_delta_sq=0.0, w_star=3.0, updates=0)]
@@ -348,9 +350,22 @@ class TestNormBound:
         records = [make_record(w0=1.0, sum_delta_sq=0.01, w_star=5.0, updates=1)]
         report = check_norm_bound(records, m=1)
         assert not report.all_passed
-        assert len(report.failures) == 1
-        assert report.failures[0].slack < 0.0
-        assert report.min_slack < 0.0
+        assert report.failures == [(0, 5.0, pytest.approx(1.1))]
+        assert report.min_slack == pytest.approx(1.1 - 5.0)
+
+    @pytest.mark.parametrize("w_stars", [(1.0, math.nan, 0.5), (math.nan, 1.0, 9.0), ()],
+                             ids=["later-nan", "leading-nan", "empty"])
+    def test_one_pass_matches_the_per_instance_walk(self, w_stars):
+        # the reference walks the slacks with the builtin min, which keeps a
+        # leading NaN and passes over a later one, and filters the failures;
+        # rhs = 1 + sqrt(4) * sqrt(0.25) = 2 on every record
+        records = [make_record(w0=1.0, sum_delta_sq=0.25, w_star=w, updates=1)
+                   for w in w_stars]
+        report = check_norm_bound(records, m=4)
+        assert repr(report.min_slack) == repr(min((2.0 - w for w in w_stars), default=0.0))
+        assert repr(report.failures) == repr([(i, w, 2.0) for i, w in enumerate(w_stars)
+                                              if not w <= 2.0 + 1e-9 * 3.0])
+        assert len(report.instances) == len(w_stars)
 
     @pytest.mark.parametrize("kind", sorted(BINARY_KINDS))
     @pytest.mark.parametrize("m", (1, 4))
