@@ -146,7 +146,8 @@ def check_sweep(m_values: list[int], runs: int, base_seed: int,
     base_seed + r, so every run's seed must fit in 64 bits: the generator
     would wrap a larger one onto another run's seed. threads=None reads
     BENCH_THREADS (unset means 1); the count is capped at the CPU count
-    only, because every (kind, m, run) task goes to one pool."""
+    here, not at runs, because every (kind, m, run) task goes to one pool.
+    run_benchmark caps it again at the task count."""
     if runs < 1:
         raise ConfigError("--runs must be >= 1")
     if not 0 <= base_seed <= 2 ** 64 - runs:
@@ -200,14 +201,15 @@ def run_benchmark(dataset: Dataset, algorithms: str | list[str], m_values: list[
     )
 
     cells = [(kind, m) for kind in algorithms for m in m_values]
+    tasks = [(kind, m, r) for kind, m in cells for r in range(runs)]
+    workers = min(threads, len(tasks))      # a worker beyond the tasks would idle
     pool = None
     try:
-        if threads > 1:
+        if workers > 1:
             import multiprocessing
-            pool = ProcessPoolExecutor(max_workers=threads,
+            pool = ProcessPoolExecutor(max_workers=workers,
                                        mp_context=multiprocessing.get_context("fork"))
         # consumed in task order, so CSV, audit and trace rows keep cell order
-        tasks = [(kind, m, r) for kind, m in cells for r in range(runs)]
         outputs = (map if pool is None else pool.map)(_run_one, *zip(*tasks))
         for kind, m in cells:
             per_run = [next(outputs) for _ in range(runs)]

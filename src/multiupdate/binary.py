@@ -19,8 +19,8 @@ import math
 import numpy as np
 
 from .core import (PASSIVE_EPS, ArowStep, CWStep, Learner, PAStep, PerceptronStep, RommaStep,
-                   SparseVector, UpdateInfo, dense_add, downdate, ogd_tau, pa1_tau, pa2_tau,
-                   passive, predict_linear, scw1_alpha, scw2_alpha, sigma_x, sparse_add)
+                   SigmaCycle, SparseVector, dense_add, fired, ogd_tau, pa1_tau, pa2_tau,
+                   passive, predict_linear, scw1_alpha, scw2_alpha, sparse_add)
 from .errors import ConfigError
 from .params import HyperParams
 
@@ -61,7 +61,7 @@ class FirstOrderLearner(BinaryLearner):
     def _rescale_add(self, x, y, r, c, g):
         old = self.w.copy() if self.audit else None
         self.w *= c
-        self.w[x.indices] += g * y * x.values
+        self.w[x.sel] += g * y * x.values
         return _sq_change(self.w, old)
 
 
@@ -122,12 +122,12 @@ class ALMA(FirstOrderLearner):
             return passive(mis)
         eta = self.hp.alma_C / math.sqrt(self.k)
         old = self.w.copy() if self.audit else None
-        self.w[x.indices] += eta * y * x.values / xnorm
+        self.w[x.sel] += eta * y * x.values / xnorm
         wnorm = math.sqrt(self.w.dot(self.w))
         if wnorm > 1.0:
             self.w /= wnorm
         self.k += 1
-        return UpdateInfo(True, mis, _sq_change(self.w, old))
+        return fired(mis, _sq_change(self.w, old))
 
 
 class ROMMA(RommaStep, FirstOrderLearner):
@@ -147,9 +147,10 @@ class SOP(BinaryLearner):
 
     S itself is not stored: P = (S + a*I)^-1 starts at I/a and takes a
     rank-1 Sherman-Morrison update on each mistake, after which w = P v is
-    recomputed. sigma_x gathers rows of P in place of columns, which relies
-    on P staying exactly symmetric; every update subtracts a multiple of an
-    outer product, so it does.
+    recomputed. P x comes from the Sigma family's SigmaCycle, which reads
+    rows of P in place of columns; that relies on P staying exactly
+    symmetric, and every update subtracts a multiple of an outer product, so
+    it does.
     """
 
     kind = "SOP"
@@ -159,6 +160,7 @@ class SOP(BinaryLearner):
         self.v = self._audited = np.zeros(d)
         self._w = np.zeros(d)
         self._P = np.eye(d) / hp.sop_a
+        self._cycle = SigmaCycle(self._P)
 
     def score(self, x):
         return predict_linear(self._w, x)
@@ -168,25 +170,40 @@ class SOP(BinaryLearner):
         if not mis or x.squared_norm() <= PASSIVE_EPS:
             return passive(mis)
         dsq = sparse_add(self.v, x, float(y), self.audit)
-        px, q = sigma_x(self._P, x)
+        cycle = self._cycle
+        cycle.bind(self._P, x)
+        q = cycle.sigma_x(x)
+        px = cycle.sx
         self._P -= px[:, None] * px / (1.0 + q)
         self._w = self._P.dot(self.v)
-        return UpdateInfo(True, mis, dsq)
+        return fired(mis, dsq)
 
 
 class SecondOrderLearner(BinaryLearner):
-    """Gaussian-state family: mean mu plus covariance Sigma, initialized N(0, I)."""
+    """Gaussian-state family: mean mu plus covariance Sigma, initialized N(0, I).
+
+    A step binds x in its SigmaCycle first, so _margin reads x's view of mu.
+    """
 
     def __init__(self, d, hp):
         super().__init__(d, hp)
         self.mu = self._audited = np.zeros(d)
         self.sigma = np.eye(d)
+        self._cycle = SigmaCycle(self.sigma, self.mu)
 
     def score(self, x):
         return predict_linear(self.mu, x)
 
+    def _margin(self, x, y):
+        m = y * float(self._cycle.mean_x.dot(x.values))
+        return m <= 0, m, y
+
     def _add_dense(self, sx, y, r, coef):
-        return dense_add(self.mu, sx, coef * y, self.audit)
+        if self.audit:
+            return dense_add(self.mu, sx, coef * y)
+        # sx is the cycle's scratch, so it is scaled in place, allocating nothing
+        np.add(self.mu, np.multiply(sx, coef * y, sx), self.mu)
+        return 0.0
 
 
 class CW(CWStep, SecondOrderLearner):
@@ -254,18 +271,21 @@ class IELLIP(SecondOrderLearner):
     kind = "IELLIP"
 
     def step(self, x, y):
+        cycle = self._cycle
+        cycle.bind(self.sigma, x)
         mis, margin, _ = self._margin(x, y)
         if not mis or x.squared_norm() <= PASSIVE_EPS:
             return passive(mis)
-        sx, v = sigma_x(self.sigma, x)
+        v = cycle.sigma_x(x)
         if v <= PASSIVE_EPS:
             return passive(mis)
         root_v = math.sqrt(v)
         alpha = (1.0 - margin) / root_v
-        sg = y * sx / root_v                      # Sigma @ g
-        downdate(self.sigma, sg, self.hp.iellip_c)
+        sg = cycle.sx                             # Sigma x, made Sigma @ g in place
+        np.divide(np.multiply(sg, y, sg), root_v, sg)
+        cycle.downdate(self.hp.iellip_c)
         self.sigma *= self.hp.iellip_b
-        return UpdateInfo(True, mis, dense_add(self.mu, sg, alpha, self.audit))
+        return fired(mis, dense_add(self.mu, sg, alpha, self.audit))
 
 
 BINARY_KINDS: dict[str, type[BinaryLearner]] = {

@@ -33,9 +33,12 @@ class SparseVector:
     Indices are 0-based, strictly increasing; explicit zeros are dropped at
     construction so the stored entries are exactly the nonzero support.
     max_index is the largest stored index, or -1 for an all-zero vector.
+    sel indexes a dense vector at x's support: slice(0, nnz) when the indices
+    are exactly 0..nnz-1 (every full-support row, and the empty one), so the
+    selection is a view, and otherwise the index array itself.
     """
 
-    __slots__ = ("indices", "values", "max_index", "_sq_norm")
+    __slots__ = ("indices", "values", "max_index", "sel", "_sq_norm")
 
     def __init__(self, indices, values):
         idx = np.asarray(indices, dtype=np.int64)
@@ -54,6 +57,7 @@ class SparseVector:
         self.indices = idx
         self.values = val
         self.max_index = int(idx[-1]) if idx.size else -1
+        self.sel = _selector(idx, self.max_index)
         self._sq_norm = float(val.dot(val))
 
     @classmethod
@@ -68,6 +72,7 @@ class SparseVector:
         x.indices = indices
         x.values = values
         x.max_index = max_index
+        x.sel = _selector(indices, max_index)
         x._sq_norm = float(values.dot(values))
         return x
 
@@ -92,13 +97,19 @@ class SparseVector:
         return hash((self.indices.tobytes(), self.values.tobytes()))
 
 
+def _selector(indices: np.ndarray, max_index: int) -> slice | np.ndarray:
+    """SparseVector.sel: strictly increasing indices >= 0 are 0..nnz-1 exactly
+    when the last one is nnz - 1."""
+    return slice(0, indices.size) if max_index == indices.size - 1 else indices
+
+
 def predict_linear(w: np.ndarray, x: SparseVector) -> float:
     """Sparse dot product <w, x>; the score's sign is the predicted binary label."""
     if x.max_index >= len(w):
         raise DimensionMismatchError(
             f"feature index {x.max_index} out of range for dimension {len(w)}"
         )
-    return float(w[x.indices].dot(x.values))
+    return float(w[x.sel].dot(x.values))
 
 
 def hinge_loss(y: int, score: float) -> float:
@@ -126,11 +137,21 @@ PASSIVE_EPS = 1e-15
 
 _PASSIVE_HIT = UpdateInfo(False, False)
 _PASSIVE_MISS = UpdateInfo(False, True)
+_FIRED_HIT = UpdateInfo(True, False)
+_FIRED_MISS = UpdateInfo(True, True)
 
 
 def passive(mispredicted: bool) -> UpdateInfo:
     """An untriggered cycle: no state change, zero delta."""
     return _PASSIVE_MISS if mispredicted else _PASSIVE_HIT
+
+
+def fired(mispredicted: bool, delta_sq_norm: float) -> UpdateInfo:
+    """A triggered cycle. A zero delta (every unaudited cycle) returns a shared
+    constant, so such a cycle allocates no result."""
+    if delta_sq_norm == 0.0:
+        return _FIRED_MISS if mispredicted else _FIRED_HIT
+    return UpdateInfo(True, mispredicted, delta_sq_norm)
 
 
 class Learner:
@@ -162,7 +183,8 @@ class Learner:
     # _add_dense(sx, y, r, coef) add coef times the direction built on x or
     # on Sigma x and return the realized squared change (0.0 unaudited);
     # ROMMA's _sq_norm() and _rescale_add(x, y, r, c, g) read ||state||^2 and
-    # set state = c*state + g*direction.
+    # set state = c*state + g*direction. The CW and AROW steps also read
+    # sigma and its SigmaCycle _cycle, which they bind before calling _margin.
     DIR_SQ = 1.0
 
     def __init__(self, d: int, hp: HyperParams):
@@ -199,12 +221,12 @@ def sparse_add(row: np.ndarray, x: SparseVector, coef: float, audit: bool = True
     Both paths store the same sums: x's indices are unique.
     """
     if not audit:
-        row[x.indices] += coef * x.values
+        row[x.sel] += coef * x.values
         return 0.0
-    old = row[x.indices]
+    old = row[x.sel]
     new = old + coef * x.values
-    row[x.indices] = new
-    d = new - old
+    d = new - old               # before the store: a slice makes old a view
+    row[x.sel] = new
     return float(np.add.reduce(d * d))
 
 
@@ -289,42 +311,104 @@ def cw_step(alpha_rule, m: float, v: float, phi: float,
     return alpha, beta
 
 
-def sigma_x(sigma: np.ndarray, x: SparseVector) -> tuple[np.ndarray, float]:
-    """(Sigma @ x, x^T Sigma x) without densifying x.
+class SigmaCycle:
+    """The Sigma cycle's arithmetic on one covariance matrix, in scratch
+    allocated once: the d-vector Sigma x buffer sx with its column view, the
+    d x d rank-1 buffer with its diagonal view, and the views bound to the
+    current instance.
 
-    The gathered rows, transposed, equal sigma[:, x.indices] because Sigma
+    Every cycle on one instance has the same x, and the state is only ever
+    updated in place, so bind(sigma, x) takes what depends only on x and the
+    matrix once: for a row whose sel is a slice, x's block of rows,
+    transposed, x's slice of sx and, when a mean vector was given, x's slice
+    of it. A learner calls bind at the top of every cycle; it rebinds only
+    when x or the matrix object differs from the bound one (a caller may
+    rebind learner.sigma). It holds strong references, so its `is` checks
+    cannot match a recycled id. A gathered row (sel an index array) would
+    bind copies, so that binding is dropped after the cycle and the next one
+    gathers again.
+
+    The block of rows, transposed, equals sigma[:, x.indices] because Sigma
     stays exactly symmetric (it starts at I and every downdate and scale is
-    symmetric in IEEE arithmetic), and they have the same F-ordered layout,
-    so the product takes the same BLAS path and rounds the same way. A
-    C-ordered column gather would round differently.
-
-    Both products go through ndarray.dot rather than @: the same gemv and
-    ddot calls on the same operands, so the same bits, with about half the
-    per-call dispatch of the matmul ufunc.
+    symmetric in IEEE arithmetic). It has the F-ordered layout of
+    sigma.take(x.indices, axis=0).T, so the product takes the same BLAS path
+    and rounds the same way; a C-ordered column gather would round
+    differently. The products go through ndarray.dot with out=, and the
+    rank-1 update through ufuncs with a positional out: the same gemv, ddot
+    and elementwise loops, so the same bits, as the allocating forms.
     """
-    sx = sigma.take(x.indices, axis=0).T.dot(x.values)
-    return sx, float(sx[x.indices].dot(x.values))
+
+    __slots__ = ("mean", "sx", "col", "outer", "outer_diag", "sigma", "diag", "x",
+                 "rows_t", "sx_x", "mean_x")
+
+    def __init__(self, sigma: np.ndarray, mean: np.ndarray | None = None):
+        d = len(sigma)
+        self.mean = mean
+        self.sx = np.empty(d)
+        self.col = self.sx[:, None]
+        self.outer = np.empty((d, d))
+        self.outer_diag = self.outer.diagonal()
+        self.sigma, self.diag, self.x = sigma, sigma.diagonal(), None
+
+    def bind(self, sigma: np.ndarray, x: SparseVector) -> None:
+        """Bind the views for x on sigma, unless they are bound already."""
+        if x is self.x and sigma is self.sigma:
+            return
+        if x.max_index >= len(self.sx):
+            raise DimensionMismatchError(
+                f"feature index {x.max_index} out of range for dimension {len(self.sx)}"
+            )
+        sel = x.sel
+        if isinstance(sel, slice):
+            self.rows_t = sigma[sel].T
+            self.sx_x = self.sx[sel]
+            self.x = x
+        else:
+            self.rows_t = sigma.take(sel, axis=0).T
+            self.sx_x = None
+            self.x = None
+        self.mean_x = None if self.mean is None else self.mean[sel]
+        self.sigma, self.diag = sigma, sigma.diagonal()
+
+    def sigma_x(self, x: SparseVector) -> float:
+        """x^T Sigma x for the bound x, leaving Sigma x in sx."""
+        self.rows_t.dot(x.values, out=self.sx)
+        sx_x = self.sx_x
+        if sx_x is None:
+            sx_x = self.sx[x.sel]
+        return float(sx_x.dot(x.values))
+
+    def downdate(self, coef: float) -> None:
+        """Sigma -= coef * sx sx^T in place, validated before it is applied.
+
+        sx is Sigma x after sigma_x, or whatever vector the caller wrote into
+        it since. A non-positive diagonal after the update means the closed
+        form degenerated numerically: NumericalDegeneracyError is raised and
+        Sigma is left untouched. A NaN in the diagonal gap does not raise:
+        the check reads gap[gap.argmin()], and argmin picks the first NaN,
+        which compares False.
+        """
+        outer = self.outer
+        np.multiply(self.col, self.sx, outer)
+        np.multiply(outer, coef, outer)
+        gap = self.diag - self.outer_diag
+        if gap[gap.argmin()] <= 0.0:
+            raise NumericalDegeneracyError("covariance update lost positive definiteness")
+        np.subtract(self.sigma, outer, self.sigma)
+
+
+def sigma_x(sigma: np.ndarray, x: SparseVector) -> tuple[np.ndarray, float]:
+    """(Sigma @ x, x^T Sigma x) without densifying x: one SigmaCycle.sigma_x."""
+    cycle = SigmaCycle(sigma)
+    cycle.bind(sigma, x)
+    return cycle.sx, cycle.sigma_x(x)
 
 
 def downdate(sigma: np.ndarray, sx: np.ndarray, coef: float) -> None:
-    """Sigma -= coef * (Sigma x)(Sigma x)^T in place, validated before it is applied.
-
-    A non-positive diagonal after the update means the closed form
-    degenerated numerically: NumericalDegeneracyError is raised and Sigma is
-    left untouched. A NaN in the diagonal gap does not raise.
-
-    The outer product is the broadcast sx[:, None] * sx, which forms each
-    element with the same single multiply as np.multiply.outer. The check
-    reads gap[gap.argmin()] rather than the ufunc reduction gap.min(): argmin
-    picks the first NaN where min would propagate it, and a NaN compares
-    False either way.
-    """
-    upd = sx[:, None] * sx
-    upd *= coef
-    gap = sigma.diagonal() - upd.diagonal()
-    if gap[gap.argmin()] <= 0.0:
-        raise NumericalDegeneracyError("covariance update lost positive definiteness")
-    sigma -= upd
+    """Sigma -= coef * sx sx^T in place, validated first: one SigmaCycle.downdate."""
+    cycle = SigmaCycle(sigma)
+    cycle.sx[...] = sx
+    cycle.downdate(coef)
 
 
 ROMMA_EPS = 1e-12
@@ -350,7 +434,7 @@ class PerceptronStep:
         mis, _, r = self._margin(x, y)
         if not mis or x.squared_norm() <= PASSIVE_EPS:
             return passive(mis)
-        return UpdateInfo(True, mis, self._add_x(x, y, r, 1.0))
+        return fired(mis, self._add_x(x, y, r, 1.0))
 
 
 class PAStep:
@@ -369,7 +453,7 @@ class PAStep:
         if loss <= PASSIVE_EPS or xsq <= PASSIVE_EPS:
             return passive(mis)
         tau = self.tau_rule(loss, self.DIR_SQ * xsq, self.hp, self.t)
-        return UpdateInfo(True, mis, self._add_x(x, y, r, tau))
+        return fired(mis, self._add_x(x, y, r, tau))
 
 
 class RommaStep:
@@ -387,9 +471,9 @@ class RommaStep:
             return passive(mis)
         coefs = romma_coefs(self.DIR_SQ * xsq, self._sq_norm(), margin)
         if coefs is None:
-            return UpdateInfo(True, mis, self._add_x(x, y, r, 1.0))
+            return fired(mis, self._add_x(x, y, r, 1.0))
         c, g = coefs
-        return UpdateInfo(True, mis, self._rescale_add(x, y, r, c, g))
+        return fired(mis, self._rescale_add(x, y, r, c, g))
 
 
 class CWStep:
@@ -404,15 +488,17 @@ class CWStep:
         self._phi = inv_norm_cdf(self.hp.cw_eta)
 
     def step(self, x, y):
+        cycle = self._cycle
+        cycle.bind(self.sigma, x)
         mis, margin, r = self._margin(x, y)
         if x.squared_norm() <= PASSIVE_EPS:
             return passive(mis)
-        sx, v = sigma_x(self.sigma, x)
-        alpha, beta = cw_step(self.alpha_rule, margin, self.DIR_SQ * v, self._phi, self.hp)
+        v = self.DIR_SQ * cycle.sigma_x(x)
+        alpha, beta = cw_step(self.alpha_rule, margin, v, self._phi, self.hp)
         if alpha <= 0.0:
             return passive(mis)
-        downdate(self.sigma, sx, self.DIR_SQ * beta)
-        return UpdateInfo(True, mis, self._add_dense(sx, y, r, alpha))
+        cycle.downdate(self.DIR_SQ * beta)
+        return fired(mis, self._add_dense(cycle.sx, y, r, alpha))
 
 
 class ArowStep:
@@ -426,14 +512,15 @@ class ArowStep:
         return beta
 
     def step(self, x, y):
+        cycle = self._cycle
+        cycle.bind(self.sigma, x)
         mis, margin, r = self._margin(x, y)
         loss = max(0.0, 1.0 - margin)
         if loss <= PASSIVE_EPS or x.squared_norm() <= PASSIVE_EPS:
             return passive(mis)
-        sx, v = sigma_x(self.sigma, x)
-        v = self.DIR_SQ * v
+        v = self.DIR_SQ * cycle.sigma_x(x)
         if v <= PASSIVE_EPS:
             return passive(mis)
         beta = 1.0 / (v + self._r(v))
-        downdate(self.sigma, sx, self.DIR_SQ * self._shrink(v, beta))
-        return UpdateInfo(True, mis, self._add_dense(sx, y, r, loss * beta))
+        cycle.downdate(self.DIR_SQ * self._shrink(v, beta))
+        return fired(mis, self._add_dense(cycle.sx, y, r, loss * beta))

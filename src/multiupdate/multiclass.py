@@ -26,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (PASSIVE_EPS, ArowStep, CWStep, Learner, PAStep, PerceptronStep, RommaStep,
-                   SparseVector, UpdateInfo, dense_add, ogd_tau, pa1_tau, pa2_tau, passive,
-                   scw1_alpha, scw2_alpha, sparse_add)
+                   SigmaCycle, SparseVector, dense_add, fired, ogd_tau, pa1_tau, pa2_tau,
+                   passive, scw1_alpha, scw2_alpha, sparse_add)
 from .errors import ConfigError, DimensionMismatchError
 from .params import HyperParams
 
@@ -95,8 +95,8 @@ class MulticlassLearner(Learner):
     def _rescale_add(self, x, y, r, c, g):
         old = self.W.copy() if self.audit else None
         self.W *= c
-        self.W[y, x.indices] += g * x.values
-        self.W[r, x.indices] -= g * x.values
+        self.W[y, x.sel] += g * x.values
+        self.W[r, x.sel] -= g * x.values
         if old is None:
             return 0.0
         delta = self.W - old
@@ -148,7 +148,7 @@ class _MPerceptronBase(MulticlassLearner):
             violators = [r]
         share = 1.0 / len(violators)
         dsq = _two_sided_row_update(self.W, x, y, violators, 1.0, share, self.audit)
-        return UpdateInfo(True, mis, dsq)
+        return fired(mis, dsq)
 
 
 class MPerceptronM(PerceptronStep, MulticlassLearner):
@@ -193,6 +193,7 @@ class _MSecondOrderBase(MulticlassLearner):
     def __init__(self, num_classes, d, hp):
         super().__init__(num_classes, d, hp)
         self.sigma = np.eye(d)
+        self._cycle = SigmaCycle(self.sigma)
 
 
 class MAROW(ArowStep, _MSecondOrderBase):

@@ -76,9 +76,17 @@ def instances_to_text(instances, *, multiclass: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+SCRATCH = frozenset({"_cycle"})
+"""Learner attributes that hold scratch and bindings, not model state: the
+SigmaCycle of the Sigma kinds and SOP, whose buffers and bound views change
+on every cycle without changing what the learner has learned."""
+
+
 def learner_state(learner) -> dict:
-    """A copy of every attribute of a learner, for before/after comparisons."""
-    return {k: np.copy(v) if isinstance(v, np.ndarray) else v for k, v in vars(learner).items()}
+    """A copy of every model-state attribute of a learner (all but SCRATCH),
+    for before/after comparisons."""
+    return {k: np.copy(v) if isinstance(v, np.ndarray) else v
+            for k, v in vars(learner).items() if k not in SCRATCH}
 
 
 def same_state(a: dict, b: dict) -> bool:

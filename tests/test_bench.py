@@ -248,6 +248,13 @@ class TestPool:
         assert [p.max_workers for p in fake_pools] == workers
         assert all(p.shutdown_kwargs == {"cancel_futures": True} for p in fake_pools)
 
+    def test_one_task_runs_without_a_pool(self, binary_ds, monkeypatch, fake_pools):
+        # the workers are capped at the task count, and one worker is the serial path
+        monkeypatch.setenv("BENCH_THREADS", "2")
+        result = run_benchmark(binary_ds, ["PA"], [1], runs=1, base_seed=0)
+        assert len(result.cells) == 1
+        assert fake_pools == []
+
     def test_failing_run_shuts_down_with_cancel_futures(self, binary_ds, monkeypatch, fake_pools):
         run_sequence = bench.run_sequence
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from multiupdate.core import (PASSIVE_EPS, SparseVector, cw_alpha, cw_step, dense_add,
                               downdate, hinge_loss, predict_linear, sparse_add)
+from multiupdate.data import parse_text
 from multiupdate.errors import DimensionMismatchError, NumericalDegeneracyError
 from multiupdate.params import HyperParams
 
@@ -50,6 +51,24 @@ class TestSparseVector:
     def test_pairs(self):
         x = SparseVector([1, 4], [0.5, -1.5])
         assert list(x.pairs()) == [(1, 0.5), (4, -1.5)]
+
+    def test_sel_is_a_slice_exactly_for_a_full_prefix(self):
+        # the constructor and the parser's rows: full prefix, empty, a gap,
+        # a leading empty column, and a gap left by a dropped explicit zero
+        text = "+1 1:1 2:2 3:3\n-1\n+1 1:1 3:3\n-1 2:1 3:2\n+1 1:1 2:0 3:3\n"
+        parsed = [x for x, _ in parse_text(text).instances]
+        built = [SparseVector([0, 1, 2], [1.0, 2.0, 3.0]), SparseVector([], []),
+                 SparseVector([0, 2], [1.0, 3.0]), SparseVector([1, 2], [1.0, 2.0]),
+                 SparseVector([0, 1, 2], [1.0, 0.0, 3.0])]
+        for rows in (parsed, built):
+            full, empty, gap, leading, dropped = rows
+            assert full.sel == slice(0, 3)
+            assert empty.sel == slice(0, 0)
+            for x in (gap, leading, dropped):
+                assert x.sel is x.indices
+            w = np.arange(1.0, 5.0)
+            for x in rows:
+                assert np.array_equal(w[x.sel], w[x.indices])
 
 
 class TestPredictLinear:
@@ -119,6 +138,21 @@ class TestRowAdds:
         ref += -0.61 * v
         expected = float(np.sum((ref - row) ** 2))
         assert dense_add(row, v, -0.61) == expected
+        assert np.array_equal(row, ref)
+
+    def test_sparse_add_on_a_full_prefix_row_matches_reference(self):
+        # x.sel is a slice, so the row's old values are a view: the change
+        # must be read before the new values are stored over them
+        rng = np.random.default_rng(8)
+        row = rng.normal(size=12) * 1e8
+        x = SparseVector(np.arange(7), rng.normal(size=7))
+        assert x.sel == slice(0, 7)
+        ref = row.copy()
+        old = ref[x.indices]
+        ref[x.indices] = old + 0.37 * x.values
+        expected = float(np.sum((ref[x.indices] - old) ** 2))
+        assert expected > 0.0
+        assert sparse_add(row, x, 0.37) == expected
         assert np.array_equal(row, ref)
 
     def test_unaudited_adds_store_the_same_bits_and_report_zero(self):

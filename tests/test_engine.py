@@ -27,7 +27,7 @@ from multiupdate.errors import DataError, NumericalDegeneracyError
 from multiupdate.multiclass import MULTICLASS_KINDS, make_multiclass
 from multiupdate.params import HyperParams
 
-from conftest import INDEFINITE_LINES, blob_instances, separable_instances
+from conftest import INDEFINITE_LINES, blob_instances, learner_state, separable_instances
 
 HP = HyperParams()
 
@@ -229,17 +229,38 @@ class TestRunSequence:
         assert len(calls) == len(instances) + 1
         assert records[0].w0_norm == 0.0
 
-    def test_unaudited_sequence_keeps_no_records(self):
-        instances = separable_instances(40, 5, seed=2, margin=0.05, noise=0.1)
+    @pytest.mark.parametrize("support", ["full", "gathered"])
+    @pytest.mark.parametrize("kind", sorted(BINARY_KINDS) + sorted(MULTICLASS_KINDS))
+    def test_unaudited_sequence_keeps_no_records(self, kind, support):
+        # the unaudited adds must store the audited bits: full-support rows
+        # take slices of the state, and rows shifted past an empty first
+        # column gather it
+        num_classes = 3 if kind in MULTICLASS_KINDS else None
+        instances = (blob_instances(40, 5, 3, seed=2, spread=2.0) if num_classes
+                     else separable_instances(40, 5, seed=2, margin=0.05, noise=0.1))
+        d = 5
+        if support == "gathered":
+            instances = [(SparseVector(x.indices + 1, x.values), y) for x, y in instances]
+            d = 6
+        assert all(isinstance(x.sel, slice) == (support == "full") for x, _ in instances)
         cfg = LoopConfig(m=4, counting_mode=CountingMode.PER_ITERATION)
-        audited, records, stats = run_sequence("AROW", HP, instances, 5, cfg)
-        plain, none, plain_stats = run_sequence("AROW", HP, instances, 5, cfg, audit=False)
+        audited, records, stats = run_sequence(kind, HP, instances, d, cfg,
+                                               num_classes=num_classes)
+        plain, none, plain_stats = run_sequence(kind, HP, instances, d, cfg,
+                                                num_classes=num_classes, audit=False)
         assert none is None and len(records) == 40
         assert not plain.audit
+        assert stats.updates > 0
         assert (plain_stats.mistake_rate, plain_stats.updates) == \
             (stats.mistake_rate, stats.updates)
-        assert plain.mu.tobytes() == audited.mu.tobytes()
-        assert plain.sigma.tobytes() == audited.sigma.tobytes()
+        a, p = learner_state(audited), learner_state(plain)
+        del a["audit"], p["audit"]
+        assert a.keys() == p.keys()
+        for key in a:
+            if isinstance(a[key], np.ndarray):
+                assert a[key].tobytes() == p[key].tobytes(), key
+            else:
+                assert a[key] == p[key], key
 
     @pytest.mark.parametrize("kind", sorted(BINARY_KINDS))
     @pytest.mark.parametrize("mode", list(CountingMode))

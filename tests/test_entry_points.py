@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from multiupdate.binary import BINARY_KINDS, SOP, make_binary
-from multiupdate.core import SparseVector, downdate, predict_linear, sigma_x
+from multiupdate.core import SigmaCycle, SparseVector, downdate, predict_linear, sigma_x
 from multiupdate.multiclass import MULTICLASS_KINDS, make_multiclass
 from multiupdate.params import HyperParams
 
@@ -72,6 +72,53 @@ def test_downdate_matches_outer_product(d):
         ref = sigma - coef * np.multiply.outer(sx, sx)
         assert downdate(sigma, sx, coef) is None
         assert np.array_equal(sigma, ref)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_bound_cycles_match_the_plain_forms_across_repeats(d):
+    # one SigmaCycle keeps x's views of Sigma between cycles; repeats on one
+    # row, a switch to another row and back must each read the current Sigma
+    rows = _rows(d, d + 10)
+    full = [x for x in rows if isinstance(x.sel, slice)][:2]
+    gathered = [x for x in rows if not isinstance(x.sel, slice)][:2]
+    assert len(full) == 2 and len(gathered) == (0 if d == 1 else 2)
+    sigma = _symmetric(d, d + 11)
+    cycle = SigmaCycle(sigma)
+    order = [full[0]] * 3 + [full[1]] * 2 + [full[0]] * 2
+    if gathered:
+        order += [gathered[0]] * 2 + [full[0], gathered[1], gathered[0]]
+    for x in order:
+        cycle.bind(sigma, x)
+        ref = sigma[:, x.indices] @ x.values
+        v = cycle.sigma_x(x)
+        assert np.array_equal(cycle.sx, ref)
+        assert v == float(ref[x.indices] @ x.values)
+        coef = 0.5 / (1.0 + v)
+        ref_sigma = sigma - coef * np.multiply.outer(ref, ref)
+        cycle.downdate(coef)
+        assert np.array_equal(sigma, ref_sigma)
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("kind", ["AROW", "M_AROW"])
+def test_a_rebound_sigma_is_picked_up(kind, d):
+    # the binding is keyed on the Sigma object too, so a step after
+    # learner.sigma is replaced reads the new matrix, not the bound views
+    learner = (make_multiclass(kind, K, d, HyperParams()) if kind.startswith("M_")
+               else make_binary(kind, d, HyperParams()))
+    x = _rows(d, d + 12)[0]
+    learner.begin_instance()
+    assert learner.step(x, 1).triggered
+    learner.sigma = _symmetric(d, d + 13)
+    sigma = learner.sigma.copy()
+    learner.begin_instance()
+    assert learner.step(x, 0 if kind.startswith("M_") else -1).triggered
+    ref = sigma[:, x.indices] @ x.values
+    assert np.array_equal(learner._cycle.sx, ref)        # audited: the mean add keeps sx
+    dir_sq = learner.DIR_SQ
+    v = dir_sq * float(ref[x.indices] @ x.values)
+    beta = 1.0 / (v + learner.hp.arow_r)
+    assert np.array_equal(learner.sigma, sigma - dir_sq * beta * np.multiply.outer(ref, ref))
 
 
 def test_downdate_with_nan_does_not_raise():
