@@ -281,11 +281,13 @@ class IELLIP(SecondOrderLearner):
             return passive(mis)
         root_v = math.sqrt(v)
         alpha = (1.0 - margin) / root_v
-        sg = cycle.sx                             # Sigma x, made Sigma @ g in place
-        np.divide(np.multiply(sg, y, sg), root_v, sg)
+        # Sigma x / sqrt(v) in place: Sigma @ g up to the sign y, which cancels
+        # in the rank-1 term and goes into the mean add's coefficient
+        sg = cycle.sx
+        np.divide(sg, root_v, sg)
         cycle.downdate(self.hp.iellip_c)
         self.sigma *= self.hp.iellip_b
-        return fired(mis, dense_add(self.mu, sg, alpha, self.audit))
+        return fired(mis, self._add_dense(sg, y, None, alpha))
 
 
 BINARY_KINDS: dict[str, type[BinaryLearner]] = {

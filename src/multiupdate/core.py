@@ -181,8 +181,8 @@ class Learner:
     # direction's squared norm per ||x||^2 (2 for the difference vector);
     # _margin(x, y) -> (mispredicted, margin, r); _add_x(x, y, r, coef) and
     # _add_dense(sx, y, r, coef) add coef times the direction built on x or
-    # on Sigma x and return the realized squared change (0.0 unaudited);
-    # ROMMA's _sq_norm() and _rescale_add(x, y, r, c, g) read ||state||^2 and
+    # on Sigma x and return the realized squared change (0.0 unaudited, when
+    # _add_dense scales sx, the cycle's scratch, in place); ROMMA's _sq_norm() and _rescale_add(x, y, r, c, g) read ||state||^2 and
     # set state = c*state + g*direction. The CW and AROW steps also read
     # sigma and its SigmaCycle _cycle, which they bind before calling _margin.
     DIR_SQ = 1.0
@@ -230,12 +230,10 @@ def sparse_add(row: np.ndarray, x: SparseVector, coef: float, audit: bool = True
     return float(np.add.reduce(d * d))
 
 
-def dense_add(row: np.ndarray, v: np.ndarray, coef: float, audit: bool = True) -> float:
-    """row += coef * v in place; returns the realized squared change, or 0.0
-    without computing it when audit is False."""
-    if not audit:
-        row += coef * v
-        return 0.0
+def dense_add(row: np.ndarray, v: np.ndarray, coef: float) -> float:
+    """row += coef * v in place; returns the realized squared change. Only an
+    audited add comes here: an unaudited one scales its SigmaCycle's sx in
+    place and adds that, the same sums."""
     new = row + coef * v
     d = new - row
     row[...] = new
@@ -395,20 +393,6 @@ class SigmaCycle:
         if gap[gap.argmin()] <= 0.0:
             raise NumericalDegeneracyError("covariance update lost positive definiteness")
         np.subtract(self.sigma, outer, self.sigma)
-
-
-def sigma_x(sigma: np.ndarray, x: SparseVector) -> tuple[np.ndarray, float]:
-    """(Sigma @ x, x^T Sigma x) without densifying x: one SigmaCycle.sigma_x."""
-    cycle = SigmaCycle(sigma)
-    cycle.bind(sigma, x)
-    return cycle.sx, cycle.sigma_x(x)
-
-
-def downdate(sigma: np.ndarray, sx: np.ndarray, coef: float) -> None:
-    """Sigma -= coef * sx sx^T in place, validated first: one SigmaCycle.downdate."""
-    cycle = SigmaCycle(sigma)
-    cycle.sx[...] = sx
-    cycle.downdate(coef)
 
 
 ROMMA_EPS = 1e-12

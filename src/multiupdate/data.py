@@ -170,8 +170,9 @@ def _parse_chunk(lines: list[str], out: list[tuple[SparseVector, float]]) -> int
         counts = np.bincount(row_of[keep], minlength=n_rows)
     idx -= 1
     # Only the values are made read-only: ndarray.take copies a read-only
-    # index array on every call, and the second-order kinds and the
-    # multiclass scores call it with x.indices on every cycle.
+    # index array on every call. The multiclass scores call it with
+    # x.indices on every cycle, the Sigma kinds on every cycle of a gathered
+    # row (one whose indices are not 0..nnz-1).
     val.flags.writeable = False
     ends = np.cumsum(counts)
     # each row's max_index: its last stored index, or -1 when it stores none

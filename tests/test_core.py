@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiupdate.core import (PASSIVE_EPS, SparseVector, cw_alpha, cw_step, dense_add,
-                              downdate, hinge_loss, predict_linear, sparse_add)
+from multiupdate.core import (PASSIVE_EPS, SigmaCycle, SparseVector, cw_alpha, cw_step,
+                              dense_add, hinge_loss, predict_linear, sparse_add)
 from multiupdate.data import parse_text
 from multiupdate.errors import DimensionMismatchError, NumericalDegeneracyError
 from multiupdate.params import HyperParams
@@ -158,15 +158,11 @@ class TestRowAdds:
     def test_unaudited_adds_store_the_same_bits_and_report_zero(self):
         rng = np.random.default_rng(7)
         x = SparseVector([0, 3, 5, 11], rng.normal(size=4).tolist())
-        v = rng.normal(size=12)
         for coef in (0.37, -1e-9, 3e7):
             row = rng.normal(size=12) * 1e8
             audited, unaudited = row.copy(), row.copy()
             sparse_add(audited, x, coef)
             assert sparse_add(unaudited, x, coef, False) == 0.0
-            assert audited.tobytes() == unaudited.tobytes()
-            dense_add(audited, v, coef)
-            assert dense_add(unaudited, v, coef, False) == 0.0
             assert audited.tobytes() == unaudited.tobytes()
 
 
@@ -178,13 +174,17 @@ class TestDowndate:
         sigma = a @ a.T + 6.0 * np.eye(6)
         sx = 0.3 * rng.normal(size=6)
         expected = sigma - 0.25 * np.outer(sx, sx)
-        assert downdate(sigma, sx, 0.25) is None
+        cycle = SigmaCycle(sigma)
+        cycle.sx[...] = sx
+        assert cycle.downdate(0.25) is None
         assert np.array_equal(sigma, expected)
 
     def test_rejected_update_leaves_sigma_untouched(self):
         sigma = np.eye(2)
+        cycle = SigmaCycle(sigma)
+        cycle.sx[...] = [1.0, 0.0]
         with pytest.raises(NumericalDegeneracyError):
-            downdate(sigma, np.array([1.0, 0.0]), 2.0)
+            cycle.downdate(2.0)
         assert np.array_equal(sigma, np.eye(2))
 
 

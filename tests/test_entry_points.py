@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from multiupdate.binary import BINARY_KINDS, SOP, make_binary
-from multiupdate.core import SigmaCycle, SparseVector, downdate, predict_linear, sigma_x
+from multiupdate.core import SigmaCycle, SparseVector, predict_linear
 from multiupdate.multiclass import MULTICLASS_KINDS, make_multiclass
 from multiupdate.params import HyperParams
 
@@ -56,10 +56,12 @@ def test_predict_linear_matches_matmul(d):
 def test_sigma_x_matches_matmul(d):
     sigma = _symmetric(d, d)
     for x in _rows(d, d + 2):
-        sx, v = sigma_x(sigma, x)
+        cycle = SigmaCycle(sigma)
+        cycle.bind(sigma, x)
+        v = cycle.sigma_x(x)
         ref = sigma[:, x.indices] @ x.values
-        assert np.array_equal(sx, ref)
-        assert np.array_equal(sx, sigma.take(x.indices, axis=0).T @ x.values)
+        assert np.array_equal(cycle.sx, ref)
+        assert np.array_equal(cycle.sx, sigma.take(x.indices, axis=0).T @ x.values)
         assert v == float(ref[x.indices] @ x.values)
 
 
@@ -67,10 +69,12 @@ def test_sigma_x_matches_matmul(d):
 def test_downdate_matches_outer_product(d):
     sigma = _symmetric(d, d + 3)
     for x in _rows(d, d + 4):
-        sx, v = sigma_x(sigma, x)
+        cycle = SigmaCycle(sigma)
+        cycle.bind(sigma, x)
+        v = cycle.sigma_x(x)
         coef = 0.5 / (1.0 + v)
-        ref = sigma - coef * np.multiply.outer(sx, sx)
-        assert downdate(sigma, sx, coef) is None
+        ref = sigma - coef * np.multiply.outer(cycle.sx, cycle.sx)
+        assert cycle.downdate(coef) is None
         assert np.array_equal(sigma, ref)
 
 
@@ -127,7 +131,9 @@ def test_downdate_with_nan_does_not_raise():
     sigma = np.eye(3)
     sx = np.array([np.nan, 2.0, 0.5])
     ref = sigma - 1.0 * np.multiply.outer(sx, sx)
-    assert downdate(sigma, sx, 1.0) is None
+    cycle = SigmaCycle(sigma)
+    cycle.sx[...] = sx
+    assert cycle.downdate(1.0) is None
     assert np.array_equal(sigma, ref, equal_nan=True)
 
 
