@@ -2,10 +2,10 @@
 core.Learner contract, each adding score(x) -> float, the current
 prediction score <w_eff, x>.
 
-The Perceptron, PA, ROMMA, CW and AROW families take their steps from core;
-this module supplies the binary hooks: the margin y*s, the update direction
-y*x (DIR_SQ = 1), and adds on w or on the mean mu. ALMA, SOP and IELLIP keep
-their own steps.
+The Perceptron, PA, ROMMA, CW and AROW families and SOP take their steps
+from core; this module supplies the binary hooks: the margin y*s, the update
+direction y*x (DIR_SQ = 1), and adds on w, on SOP's v or on the mean mu.
+ALMA and IELLIP keep their own steps.
 
 The audited state vector (whose per-cycle change is reported in
 delta_sq_norm and whose norm primary_norm() returns) is w for first-order
@@ -141,9 +141,9 @@ class AROMMA(ROMMA):
     aggressive = True
 
 
-class SOP(BinaryLearner):
-    """Second-order perceptron: v accumulates y*x on mistakes, S accumulates
-    x x^T, and predictions use w = (S + a*I)^-1 v.
+class SOP(PerceptronStep, BinaryLearner):
+    """Second-order perceptron: the perceptron step on v, which accumulates
+    y*x on mistakes; S accumulates x x^T, and predictions use w = (S + a*I)^-1 v.
 
     S itself is not stored: P = (S + a*I)^-1 starts at I/a and takes a
     rank-1 Sherman-Morrison update on each mistake, after which w = P v is
@@ -165,18 +165,15 @@ class SOP(BinaryLearner):
     def score(self, x):
         return predict_linear(self._w, x)
 
-    def step(self, x, y):
-        mis, _, _ = self._margin(x, y)
-        if not mis or x.squared_norm() <= PASSIVE_EPS:
-            return passive(mis)
-        dsq = sparse_add(self.v, x, float(y), self.audit)
+    def _add_x(self, x, y, r, coef):
+        dsq = sparse_add(self.v, x, coef * y, self.audit)
         cycle = self._cycle
         cycle.bind(self._P, x)
         q = cycle.sigma_x(x)
         px = cycle.sx
         self._P -= px[:, None] * px / (1.0 + q)
         self._w = self._P.dot(self.v)
-        return fired(mis, dsq)
+        return dsq
 
 
 class SecondOrderLearner(BinaryLearner):

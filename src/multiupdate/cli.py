@@ -13,6 +13,7 @@ import contextlib
 import json
 import logging
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -159,9 +160,10 @@ def bench(ctx: click.Context, **params) -> None:
         # Every option and BENCH_THREADS is validated above, then both files
         # open before the sweep: a usage error leaves existing files as they
         # were, and a bad path costs no sweep work. The report file is opened
-        # for appending and emptied only when the report is written, so a
-        # sweep that fails leaves its old contents; the trace is a streamed
-        # log, so a sweep that fails leaves the rows of the cells before it.
+        # for appending and emptied, unless it is a device or a pipe, only when
+        # the report is written, so a sweep that fails leaves its old contents;
+        # the trace is a streamed log, so a sweep that fails leaves the rows of
+        # the cells before it.
         out_fh = _open_for_writing(files, params["out"], "a")
         trace_fh = _open_for_writing(files, params["trace"], "w")
         result = run_benchmark(
@@ -170,7 +172,8 @@ def bench(ctx: click.Context, **params) -> None:
             hp=hp, audit=params["audit_theorem1"], trace_fh=trace_fh)
         text = emit(result, params["fmt"])
         if out_fh is not None:
-            out_fh.truncate(0)
+            if stat.S_ISREG(os.fstat(out_fh.fileno()).st_mode):
+                out_fh.truncate(0)
             out_fh.write(text)
         else:
             click.echo(text, nl=False)

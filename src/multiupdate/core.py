@@ -5,6 +5,7 @@ A multiclass PA, ROMMA, CW or AROW kind, and M_PerceptronM, is its binary
 rule on the difference vector Phi(x, y) - Phi(x, r) (Crammer et al., JMLR
 2006; LIBOL, Hoi, Wang & Zhao, JMLR 2014), so each such step is written once
 here and a label space supplies only the hooks listed on Learner.
+M_PerceptronU/S (r a loser set) and SOP (on v) take the perceptron step too.
 
 Conventions used throughout the package:
 
@@ -41,7 +42,10 @@ class SparseVector:
     __slots__ = ("indices", "values", "max_index", "sel", "_sq_norm")
 
     def __init__(self, indices, values):
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices)
+        if idx.dtype.kind == "f" and not np.all((abs(idx) < 2.0 ** 63) & (idx == np.trunc(idx))):
+            raise ValueError("feature indices must be integers")
+        idx = idx.astype(np.int64, copy=False)
         val = np.asarray(values, dtype=np.float64)
         if idx.shape != val.shape or idx.ndim != 1:
             raise ValueError("indices and values must be 1-d arrays of equal length")
@@ -176,15 +180,17 @@ class Learner:
     """Whether step() measures delta_sq_norm; False reports 0.0 instead.
     The engine sets it once per run, from whether anything reads the audit."""
 
-    # Hooks the shared steps below read; r is the label an update moves away
-    # from (y binary, the top wrong class multiclass). DIR_SQ is the update
+    # Hooks the shared steps below read. r is opaque to them: the label space's
+    # _margin returns it and its adds take it (y binary, the top wrong class
+    # multiclass, the loser set for M_PerceptronU/S). DIR_SQ is the update
     # direction's squared norm per ||x||^2 (2 for the difference vector);
     # _margin(x, y) -> (mispredicted, margin, r); _add_x(x, y, r, coef) and
-    # _add_dense(sx, y, r, coef) add coef times the direction built on x or
-    # on Sigma x and return the realized squared change (0.0 unaudited, when
-    # _add_dense scales sx, the cycle's scratch, in place); ROMMA's _sq_norm() and _rescale_add(x, y, r, c, g) read ||state||^2 and
-    # set state = c*state + g*direction. The CW and AROW steps also read
-    # sigma and its SigmaCycle _cycle, which they bind before calling _margin.
+    # _add_dense(sx, y, r, coef) add coef times the direction built on x or on
+    # Sigma x and return the realized squared change (0.0 unaudited, when
+    # _add_dense scales sx, the cycle's scratch, in place); ROMMA's _sq_norm()
+    # and _rescale_add(x, y, r, c, g) read ||state||^2 and set
+    # state = c*state + g*direction. The CW and AROW steps also read sigma and
+    # its SigmaCycle _cycle, which they bind before calling _margin.
     DIR_SQ = 1.0
 
     def __init__(self, d: int, hp: HyperParams):

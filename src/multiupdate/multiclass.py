@@ -5,9 +5,9 @@ index. Updates work on the margin between the true class y and the top wrong
 class r = argmax_{c != y} score_c: the multiclass hinge is
 max(0, 1 - (s_y - s_r)), and the difference-vector feature representation
 (x in block y, -x in block r) has squared norm DIR_SQ*||x||^2 = 2*||x||^2.
-The PA, ROMMA, CW and AROW families and M_PerceptronM run core's shared
-steps on it, which is where the PA-family step sizes get their doubled
-denominator.
+The PA, ROMMA, CW and AROW families and the three perceptrons run core's
+shared steps on it (U and S with a loser set in place of r), which is where
+the PA-family step sizes get their doubled denominator.
 
 Second-order kinds keep one shared d x d covariance across classes (the
 block-diagonal reduction with equal blocks), so the confidence of the
@@ -23,11 +23,13 @@ The audited state vector is the whole prototype matrix W (Frobenius norm).
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .core import (PASSIVE_EPS, ArowStep, CWStep, Learner, PAStep, PerceptronStep, RommaStep,
-                   SigmaCycle, SparseVector, dense_add, fired, ogd_tau, pa1_tau, pa2_tau,
-                   passive, scw1_alpha, scw2_alpha, sparse_add)
+from .core import (ArowStep, CWStep, Learner, PAStep, PerceptronStep, RommaStep, SigmaCycle,
+                   SparseVector, dense_add, ogd_tau, pa1_tau, pa2_tau, scw1_alpha, scw2_alpha,
+                   sparse_add)
 from .errors import ConfigError, DimensionMismatchError
 from .params import HyperParams
 
@@ -133,28 +135,23 @@ class MOGD(MPA):
     tau_rule = staticmethod(ogd_tau)
 
 
-class _MPerceptronBase(MulticlassLearner):
+class _MPerceptronSplit(PerceptronStep, MulticlassLearner):
     """Ultraconservative additive family: on a misprediction the true row
-    gains +x and the -x mass is split over a violator set E."""
+    gains +x and the -x mass is split over the loser set, the classes c != y
+    whose score is ahead(s_c, s_y)."""
 
-    def _violators(self, s: np.ndarray, y: int, r: int) -> list[int]:
-        raise NotImplementedError
-
-    def step(self, x, y):
+    def _margin(self, x, y):
         s, pred, r = self._margin_parts(x, y)
-        mis = pred != y
-        if not mis or x.squared_norm() <= PASSIVE_EPS:
-            return passive(mis)
-        violators = self._violators(s, y, r)
-        if not violators:
-            # Mispredicted purely by tie-break with no class strictly ahead
-            # of y (the all-zero start is the one common case). Blame the top
-            # wrong class so the learner can leave the tie; staying passive
-            # here would freeze the zero state forever.
-            violators = [r]
-        share = 1.0 / len(violators)
-        dsq = _two_sided_row_update(self.W, x, y, violators, 1.0, share, self.audit)
-        return fired(mis, dsq)
+        mis, losers = pred != y, None
+        if mis:
+            # With no class ahead, y lost purely by tie-break (the all-zero start is the
+            # one common case). Blame the top wrong class so the learner can leave the
+            # tie; staying passive here would freeze the zero state forever.
+            losers = [c for c in range(self.K) if c != y and self.ahead(s[c], s[y])] or [r]
+        return mis, float(s[y] - s[r]), losers
+
+    def _add_x(self, x, y, losers, coef):
+        return _two_sided_row_update(self.W, x, y, losers, coef, coef / len(losers), self.audit)
 
 
 class MPerceptronM(PerceptronStep, MulticlassLearner):
@@ -163,22 +160,18 @@ class MPerceptronM(PerceptronStep, MulticlassLearner):
     kind = "M_PerceptronM"
 
 
-class MPerceptronU(_MPerceptronBase):
+class MPerceptronU(_MPerceptronSplit):
     """-x mass split uniformly over every class scoring >= the true class."""
 
     kind = "M_PerceptronU"
-
-    def _violators(self, s, y, r):
-        return [c for c in range(self.K) if c != y and s[c] >= s[y]]
+    ahead = staticmethod(operator.ge)
 
 
-class MPerceptronS(_MPerceptronBase):
+class MPerceptronS(_MPerceptronSplit):
     """-x mass split over classes scoring strictly above the true class."""
 
     kind = "M_PerceptronS"
-
-    def _violators(self, s, y, r):
-        return [c for c in range(self.K) if c != y and s[c] > s[y]]
+    ahead = staticmethod(operator.gt)
 
 
 class MROMMA(RommaStep, MulticlassLearner):

@@ -1,11 +1,13 @@
 """End-to-end tests for the `bench` command, driven through main(argv)."""
 from __future__ import annotations
 
+import contextlib
 import gzip
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -152,6 +154,37 @@ class TestOutputFiles:
         assert run_cli(*common, "--algos", "PA", "--out", str(out)) == 0
         assert run_cli(*common, "--algos", "PA", "--out", str(fresh)) == 0
         assert out.read_bytes() == fresh.read_bytes()
+
+    def test_out_to_the_null_device_exits_0(self, binary_file, capsys):
+        rc = run_cli("--data", binary_file, "--algos", "PA", "--m", "1", "--runs", "1",
+                     "--format", "csv", "--out", os.devnull)
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == "" and captured.out == ""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_out_into_a_pipe_writes_the_report(self, binary_file, tmp_path, capsys):
+        # A pipe cannot be emptied: the report is written to it as it is.
+        fifo, plain = tmp_path / "report.fifo", tmp_path / "plain.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        common = ("--data", binary_file, "--algos", "PA", "--m", "1,2", "--runs", "1",
+                  "--format", "csv")
+        try:
+            rc = run_cli(*common, "--out", str(fifo))
+        finally:
+            # a reader still waiting to open the pipe, if the command never
+            # opened it, gets end of file; one that has it open loses nothing
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli(*common, "--out", str(plain)) == 0
+        assert received == [plain.read_bytes()]
 
     @pytest.mark.parametrize("bad, message", [
         (("--algos", "NOPE"), "error: unknown algorithm 'NOPE'"),

@@ -40,6 +40,18 @@ class TestSparseVector:
         with pytest.raises(ValueError):
             SparseVector([-1], [1.0])
 
+    @pytest.mark.parametrize("index", [0.5, 2.7, np.nan, np.inf, -np.inf, 1e20])
+    def test_non_integral_index_rejected(self, index):
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="must be integers"):
+                SparseVector([0.0, index], [1.0, 2.0])
+
+    def test_integral_float_indices_accepted(self):
+        x = SparseVector([0.0, 2.0, 5.0], [1.0, -2.0, 0.5])
+        assert x.indices.dtype == np.int64
+        assert x == SparseVector([0, 2, 5], [1.0, -2.0, 0.5])
+        assert SparseVector(np.array([]), np.array([])).max_index == -1
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             SparseVector([0, 1], [1.0])

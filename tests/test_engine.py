@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multiupdate.binary import BINARY_KINDS, make_binary
-from multiupdate.core import SparseVector, hinge_loss
+from multiupdate.core import PASSIVE_EPS, SparseVector, hinge_loss
 from multiupdate.data import parse_text
 from multiupdate.engine import (
     CountingMode,
@@ -602,16 +602,21 @@ class TestCycleOracles:
     @given(inst=_dense_instance(-2.0, 2.0),
            w=st.lists(st.floats(-0.5, 0.5), min_size=6, max_size=6),
            C=st.sampled_from((0.01, 0.05, 0.3)), m=st.integers(1, 32))
+    @example(inst=(np.array([0.0, 2.0]), SparseVector([0, 1], [0.0, 2.0]), 1),
+             w=[0.0, 0.49999999999999994, 0.0, 0.0, 0.0, 0.0], C=0.01, m=1)
     @settings(max_examples=80, deadline=None)
     def test_pa1_update_count(self, inst, w, C, m):
         # capped steps lower the loss by C*||x||^2 each; the step that would
         # overshoot lands on the margin, so ceil(l0 / (C*||x||^2)) steps end
-        # the loss, or the m-cycle cap comes first
+        # the loss, or the m-cycle cap comes first. A loss of at most
+        # PASSIVE_EPS (1.1e-16 in the example) is already on the margin:
+        # no step fires.
         x, xs, y = inst
         w0 = np.array(w[:x.size])
         l0 = 1.0 - y * float(w0 @ x)
         assume(l0 > 0.0)
         steps = l0 / (C * float(x @ x))
+        expected = min(m, math.ceil(steps)) if l0 > PASSIVE_EPS else 0
         # whether a loss left at rounding level re-triggers is not decided here
         assume(abs(steps - round(steps)) > 1e-9 * steps)
         states = []
@@ -620,7 +625,7 @@ class TestCycleOracles:
             learner.audit = audit
             learner.w[:] = w0
             record = process_instance(learner, xs, y, LoopConfig(m=m))
-            assert record.updates == min(m, math.ceil(steps))
+            assert record.updates == expected
             if not audit:
                 assert record.sum_delta_sq == 0.0
                 assert math.isnan(record.w0_norm) and math.isnan(record.w_star_norm)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from multiupdate.binary import make_binary
 from multiupdate.core import SparseVector, hinge_loss, romma_coefs
 from multiupdate.data import normalize_labels, parse_text
+from multiupdate.engine import LoopConfig, run_sequence, trace_records
 from multiupdate.numerics import inv_norm_cdf
 from multiupdate.errors import ConfigError
 from multiupdate.multiclass import MULTICLASS_KINDS, make_multiclass
@@ -251,6 +252,23 @@ class TestInvariants:
                 assert s[y] - s[r] == pytest.approx(1.0, abs=1e-9)
                 checked += 1
         assert checked > 10
+
+    @pytest.mark.parametrize("m", [1, 8])
+    @pytest.mark.parametrize("kind", ["M_PerceptronU", "M_PerceptronS"])
+    def test_k2_split_is_the_m_step(self, kind, m):
+        # at K=2 the loser set is the one other class, or r by the tie-break,
+        # and coef / 1 == coef: the same W bits, trace lines and statistics
+        instances = blob_instances(120, 5, 2, seed=4, spread=0.3)
+
+        def run(k, audit):
+            learner, records, stats = run_sequence(k, HP, instances, 5, LoopConfig(m=m), 2,
+                                                   audit=audit)
+            lines = trace_records(records, m=m) if audit else None
+            return learner.W.tobytes(), lines, stats.mistake_rate, stats.updates
+
+        for audit in (True, False):
+            assert run(kind, audit) == run("M_PerceptronM", audit)
+        assert run(kind, False)[3] > 20
 
     def test_k2_matches_binary_pa(self):
         # the two-row update keeps W1 = -W0, so the class-1-minus-class-0
