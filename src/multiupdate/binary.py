@@ -21,7 +21,7 @@ import numpy as np
 from .core import (PASSIVE_EPS, ArowStep, CWStep, Learner, PAStep, PerceptronStep, RommaStep,
                    SigmaCycle, SparseVector, dense_add, fired, ogd_tau, pa1_tau, pa2_tau,
                    passive, predict_linear, scw1_alpha, scw2_alpha, sparse_add)
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError
 from .params import HyperParams
 
 
@@ -51,6 +51,15 @@ class FirstOrderLearner(BinaryLearner):
 
     def score(self, x):
         return predict_linear(self.w, x)
+
+    def _margin(self, x, y):
+        # predict_linear's check, gather and dot, inline: the same bits
+        if x.max_index >= self.d:
+            raise DimensionMismatchError(
+                f"feature index {x.max_index} out of range for dimension {self.d}"
+            )
+        m = y * float(self.w[x.sel].dot(x.values))
+        return m <= 0, m, y
 
     def _add_x(self, x, y, r, coef):
         return sparse_add(self.w, x, coef * y, self.audit)
@@ -170,9 +179,15 @@ class SOP(PerceptronStep, BinaryLearner):
         cycle = self._cycle
         cycle.bind(self._P, x)
         q = cycle.sigma_x(x)
-        px = cycle.sx
-        self._P -= px[:, None] * px / (1.0 + q)
-        self._w = self._P.dot(self.v)
+        # P -= (P x)(P x)^T / (1 + q) and w = P v in the cycle's scratch and
+        # in place: the same bits as the allocating form, since a product of
+        # the rank-1 term can differ only in the sign of a zero, and P, which
+        # like Sigma never holds -0.0, subtracts either to the same bits
+        P, outer = self._P, cycle.outer
+        np.dot(cycle.col, cycle.row, out=outer)
+        np.divide(outer, 1.0 + q, outer)
+        np.subtract(P, outer, P)
+        P.dot(self.v, out=self._w)
         return dsq
 
 

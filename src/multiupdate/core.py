@@ -45,7 +45,11 @@ class SparseVector:
         idx = np.asarray(indices)
         if idx.dtype.kind == "f" and not np.all((abs(idx) < 2.0 ** 63) & (idx == np.trunc(idx))):
             raise ValueError("feature indices must be integers")
-        idx = idx.astype(np.int64, copy=False)
+        try:
+            idx = idx.astype(np.int64, copy=False)
+        except OverflowError:
+            # a Python int past int64 makes an object array
+            raise ValueError("feature indices must fit in 64 bits") from None
         val = np.asarray(values, dtype=np.float64)
         if idx.shape != val.shape or idx.ndim != 1:
             raise ValueError("indices and values must be 1-d arrays of equal length")
@@ -317,9 +321,9 @@ def cw_step(alpha_rule, m: float, v: float, phi: float,
 
 class SigmaCycle:
     """The Sigma cycle's arithmetic on one covariance matrix, in scratch
-    allocated once: the d-vector Sigma x buffer sx with its column view, the
-    d x d rank-1 buffer with its diagonal view, and the views bound to the
-    current instance.
+    allocated once: the d-vector Sigma x buffer sx with its column and row
+    views, the d x d rank-1 buffer with its diagonal view, and the views
+    bound to the current instance.
 
     Every cycle on one instance has the same x, and the state is only ever
     updated in place, so bind(sigma, x) takes what depends only on x and the
@@ -338,11 +342,15 @@ class SigmaCycle:
     sigma.take(x.indices, axis=0).T, so the product takes the same BLAS path
     and rounds the same way; a C-ordered column gather would round
     differently. The products go through ndarray.dot with out=, and the
-    rank-1 update through ufuncs with a positional out: the same gemv, ddot
-    and elementwise loops, so the same bits, as the allocating forms.
+    rest of the rank-1 update through ufuncs with a positional out: the same
+    gemv, ddot and elementwise loops, so the same bits, as the allocating
+    forms. The rank-1 term sx sx^T is one BLAS product of the column and row
+    views (no broadcast iterator buffers); each entry is a single product,
+    rounded once, so only the sign of a zero can differ from the elementwise
+    form, and Sigma, which never holds -0.0, subtracts either to the same bits.
     """
 
-    __slots__ = ("mean", "sx", "col", "outer", "outer_diag", "sigma", "diag", "x",
+    __slots__ = ("mean", "sx", "col", "row", "outer", "outer_diag", "sigma", "diag", "x",
                  "rows_t", "sx_x", "mean_x")
 
     def __init__(self, sigma: np.ndarray, mean: np.ndarray | None = None):
@@ -350,6 +358,7 @@ class SigmaCycle:
         self.mean = mean
         self.sx = np.empty(d)
         self.col = self.sx[:, None]
+        self.row = self.sx[None, :]
         self.outer = np.empty((d, d))
         self.outer_diag = self.outer.diagonal()
         self.sigma, self.diag, self.x = sigma, sigma.diagonal(), None
@@ -393,7 +402,7 @@ class SigmaCycle:
         which compares False.
         """
         outer = self.outer
-        np.multiply(self.col, self.sx, outer)
+        np.dot(self.col, self.row, out=outer)
         np.multiply(outer, coef, outer)
         gap = self.diag - self.outer_diag
         if gap[gap.argmin()] <= 0.0:

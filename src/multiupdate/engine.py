@@ -10,10 +10,11 @@ ones counted as the repeats they would be; the update count is the number
 of cycles that fired. Of each cycle's UpdateInfo the engine reads triggered,
 mispredicted and, when auditing, delta_sq_norm.
 
-Every processed instance leaves one InstanceRecord. When the learner
-audits (its audit attribute, which run_sequence sets once per run from
-whether --audit-theorem1 or --trace reads the result), the records are
-enough to verify after the fact that the final state norm obeys
+One loop, _run_cycles, runs the cycles of a whole run; process_instance is
+its one-instance case. An audited run (the learner's audit attribute, which
+run_sequence sets once per run from whether --audit-theorem1 or --trace
+reads the result) leaves one InstanceRecord per instance, and the records
+are enough to verify after the fact that the final state norm obeys
 
     ||w*|| <= ||w0|| + sqrt(M) * (sum_j ||delta_j||^2)^(1/2)
 
@@ -21,9 +22,9 @@ where w0/w* are the audited state vector before/after the instance's cycles
 and the delta_j are the per-cycle changes of that same vector. The
 inequality is Cauchy-Schwarz on the telescoped updates, so it must hold on
 every engine-produced record; the audit exists to catch accounting bugs, not
-to test the math. A learner that is not auditing skips that accounting: its
-cycles report delta_sq_norm 0, no norm is taken, run_sequence keeps no
-records, and the learner's arithmetic is the same either way.
+to test the math. An unaudited run skips that accounting: its cycles report
+delta_sq_norm 0, no norm is taken, the loop builds no records, and the
+learner's arithmetic is the same either way.
 """
 from __future__ import annotations
 
@@ -81,51 +82,85 @@ class RunStats:
     cpu_seconds: float
 
 
+def _run_cycles(learner: Learner, instances: Sequence[tuple[SparseVector, int]],
+                cfg: LoopConfig, w0: float,
+                records: list[InstanceRecord] | None) -> tuple[int, float]:
+    """Run up to cfg.m predict/update cycles on each (x, y) in order; the
+    engine's one cycle loop. Returns (updates, mistakes), the mistakes a
+    float total in cfg's counting mode.
+
+    The learner's outer clock advances once per instance, however many
+    cycles run, and an instance stops after its first untriggered cycle: the
+    learners are deterministic, so every further cycle would repeat the same
+    prediction and stay passive. step and begin_instance are read off the
+    learner once, so a wrapper set on the instance is the one called. With
+    records None nothing else happens per instance. With a list, one
+    InstanceRecord per instance is appended, w0 being the learner's
+    primary_norm() before the first; a learner that is not auditing takes no
+    norm, and both norms read NaN.
+    """
+    m = cfg.m
+    per_iteration = cfg.counting_mode is CountingMode.PER_ITERATION
+    audit = learner.audit
+    begin_instance = learner.begin_instance
+    step = learner.step
+    cycles = range(m)
+    updates = 0
+    first_mistakes = 0
+    cycle_mistake_total = 0.0
+    for x, y in instances:
+        begin_instance()
+        cycle_mistakes = 0
+        sum_delta_sq = 0.0
+        first_mistake = False
+        for k in cycles:
+            triggered, mispredicted, delta_sq_norm = step(x, y)
+            sum_delta_sq += delta_sq_norm
+            if mispredicted:
+                cycle_mistakes += 1
+                if k == 0:
+                    first_mistake = True
+            if not triggered:
+                # The skipped cycles are provably no-ops (deterministic
+                # learner, unchanged state), so they would each repeat this
+                # cycle's prediction; credit those repeats so early exit
+                # never changes the per-iteration mistake statistic.
+                if mispredicted:
+                    cycle_mistakes += m - (k + 1)
+                break
+        # every cycle before the last fired; the last one did unless it broke
+        # the loop (m >= 1, so the loop ran cycles 0..k)
+        instance_updates = k + 1 if triggered else k
+        updates += instance_updates
+        first_mistakes += first_mistake
+        if per_iteration:
+            # once per instance, in instance order: summing the counts and
+            # dividing once would round differently when m is not a power of 2
+            cycle_mistake_total += cycle_mistakes / m
+        if records is not None:
+            w_star = learner.primary_norm() if audit else math.nan
+            records.append(InstanceRecord(
+                mistake=first_mistake, updates=instance_updates, cycles=k + 1,
+                cycle_mispredictions=cycle_mistakes, sum_delta_sq=sum_delta_sq,
+                w0_norm=w0, w_star_norm=w_star))
+            w0 = w_star
+    return updates, cycle_mistake_total if per_iteration else float(first_mistakes)
+
+
 def process_instance(learner: Learner, x: SparseVector, y: int, cfg: LoopConfig,
                      w0_norm: float | None = None) -> InstanceRecord:
-    """Run up to cfg.m predict/update cycles on one (x, y).
+    """Run up to cfg.m predict/update cycles on one (x, y): the engine's cycle
+    loop on a one-instance sequence, returning its record.
 
-    The learner's outer clock is advanced here, once, regardless of how many
-    cycles run. The loop exits after the first untriggered cycle: the
-    learners are deterministic, so every further cycle would repeat the same
-    prediction and stay passive. w0_norm is the learner's primary_norm() on
-    entry; it is computed when the caller does not know it. A learner that
-    is not auditing takes no norm, and both norms read NaN.
+    w0_norm is the learner's primary_norm() on entry; it is computed when the
+    caller does not know it. A learner that is not auditing takes no norm,
+    and both norms read NaN.
     """
-    audit = learner.audit
     if w0_norm is None:
-        w0_norm = learner.primary_norm() if audit else math.nan
-    learner.begin_instance()
-    updates = 0
-    cycle_mistakes = 0
-    sum_delta_sq = 0.0
-    first_mistake = False
-    for k in range(cfg.m):
-        triggered, mispredicted, delta_sq_norm = learner.step(x, y)
-        sum_delta_sq += delta_sq_norm
-        if k == 0:
-            first_mistake = mispredicted
-        if mispredicted:
-            cycle_mistakes += 1
-        if triggered:
-            updates += 1
-        else:
-            # The skipped cycles are provably no-ops (deterministic learner,
-            # unchanged state), so they would each repeat this cycle's
-            # prediction; credit those repeats so early exit never changes
-            # the per-iteration mistake statistic.
-            if mispredicted:
-                cycle_mistakes += cfg.m - (k + 1)
-            break
-    return InstanceRecord(
-        mistake=first_mistake,
-        updates=updates,
-        cycles=k + 1,                  # m >= 1, so the loop ran cycles 0..k
-        cycle_mispredictions=cycle_mistakes,
-        sum_delta_sq=sum_delta_sq,
-        w0_norm=w0_norm,
-        w_star_norm=learner.primary_norm() if audit else math.nan,
-    )
+        w0_norm = learner.primary_norm() if learner.audit else math.nan
+    records: list[InstanceRecord] = []
+    _run_cycles(learner, ((x, y),), cfg, w0_norm, records)
+    return records[0]
 
 
 def run_sequence(kind: str, hp: HyperParams, instances: Sequence[tuple[SparseVector, int]],
@@ -134,13 +169,13 @@ def run_sequence(kind: str, hp: HyperParams, instances: Sequence[tuple[SparseVec
                  ) -> tuple[Learner, list[InstanceRecord] | None, RunStats]:
     """Process an ordered instance sequence from a zero-initialized learner.
 
-    cpu_seconds covers exactly the loop below — thread CPU time, so
+    cpu_seconds covers exactly the cycle loop — thread CPU time, so
     harness-level parallelism does not distort it. Instance i starts from
     instance i-1's w_star_norm: begin_instance() only advances the clock, so
     the norm is taken once per instance. With audit False the learner skips
-    the delta and norm accounting and the records come back as None; the
-    statistics and the learner's final state are the same either way. A
-    dimension whose model cannot be allocated is a DataError.
+    the delta and norm accounting, the loop builds no records and they come
+    back as None; the statistics and the learner's final state are the same
+    either way. A dimension whose model cannot be allocated is a DataError.
     """
     if not instances:
         raise DataError("cannot run on an empty dataset")
@@ -156,21 +191,9 @@ def run_sequence(kind: str, hp: HyperParams, instances: Sequence[tuple[SparseVec
         raise DataError(f"{kind}: a model of dimension {d} cannot be allocated") from None
     learner.audit = audit
     records: list[InstanceRecord] | None = [] if audit else None
-    per_iteration = cfg.counting_mode is CountingMode.PER_ITERATION
-    mistakes = 0.0
-    updates = 0
     started = time.thread_time()
     w0 = learner.primary_norm() if audit else math.nan
-    for x, y in instances:
-        record = process_instance(learner, x, y, cfg, w0)
-        if audit:
-            records.append(record)
-        w0 = record.w_star_norm
-        updates += record.updates
-        if per_iteration:
-            mistakes += record.cycle_mispredictions / cfg.m
-        else:
-            mistakes += 1.0 if record.mistake else 0.0
+    updates, mistakes = _run_cycles(learner, instances, cfg, w0, records)
     cpu = time.thread_time() - started
     stats = RunStats(mistake_rate=mistakes / len(instances),
                      updates=float(updates), cpu_seconds=cpu)

@@ -46,6 +46,11 @@ class TestSparseVector:
             with pytest.raises(ValueError, match="must be integers"):
                 SparseVector([0.0, index], [1.0, 2.0])
 
+    def test_index_past_64_bits_rejected(self):
+        # a Python int past int64 makes an object array, whose cast overflows
+        with pytest.raises(ValueError, match="64 bits"):
+            SparseVector([1, 2 ** 70], [1.0, 1.0])
+
     def test_integral_float_indices_accepted(self):
         x = SparseVector([0.0, 2.0, 5.0], [1.0, -2.0, 0.5])
         assert x.indices.dtype == np.int64

@@ -23,7 +23,7 @@ from multiupdate.engine import (
     run_sequence,
     trace_records,
 )
-from multiupdate.errors import DataError, NumericalDegeneracyError
+from multiupdate.errors import DataError, DimensionMismatchError, NumericalDegeneracyError
 from multiupdate.multiclass import MULTICLASS_KINDS, make_multiclass
 from multiupdate.params import HyperParams
 
@@ -346,6 +346,79 @@ class TestRunSequence:
         instances = [(x, int(y) - 1) for x, y in parse_text(INDEFINITE_LINES).instances]
         with pytest.raises(NumericalDegeneracyError, match="positive definiteness"):
             run_sequence("M_CW", HP, instances, 2, LoopConfig(m=4), num_classes=3)
+
+
+def _kind_instances(kind):
+    """(instances, d, num_classes) for one kind: 40 blobs on 3 classes for a
+    multiclass kind, 40 noisy separable rows otherwise."""
+    if kind in MULTICLASS_KINDS:
+        return blob_instances(40, 5, 3, seed=7, spread=1.5), 5, 3
+    return separable_instances(40, 5, seed=7, margin=0.05, noise=0.2), 5, None
+
+
+ALL_KINDS = sorted(BINARY_KINDS) + sorted(MULTICLASS_KINDS)
+
+
+class TestCycleLoop:
+    @pytest.mark.parametrize("m", [3, 5])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_per_iteration_rate_adds_once_per_instance(self, kind, m):
+        # c_i / m is added to the total once per instance, in instance order;
+        # summing the counts and dividing once rounds differently when m is
+        # not a power of two, so the reference follows the records
+        instances, d, num_classes = _kind_instances(kind)
+        cfg = LoopConfig(m=m, counting_mode=CountingMode.PER_ITERATION)
+        _, records, audited = run_sequence(kind, HP, instances, d, cfg,
+                                           num_classes=num_classes)
+        _, _, plain = run_sequence(kind, HP, instances, d, cfg, num_classes=num_classes,
+                                   audit=False)
+        total = 0.0
+        for r in records:
+            total += r.cycle_mispredictions / m
+        assert any(r.cycle_mispredictions % m for r in records)
+        assert audited.mistake_rate.hex() == plain.mistake_rate.hex() == \
+            (total / len(instances)).hex()
+
+    @pytest.mark.parametrize("mode", list(CountingMode))
+    @pytest.mark.parametrize("kind", ["PA1", "CW", "M_PerceptronU"])
+    def test_unaudited_run_builds_no_record(self, monkeypatch, kind, mode):
+        instances, d, num_classes = _kind_instances(kind)
+        cfg = LoopConfig(m=3, counting_mode=mode)
+        _, _, expected = run_sequence(kind, HP, instances, d, cfg, num_classes=num_classes)
+
+        def no_record(**fields):
+            raise AssertionError("an unaudited run built an InstanceRecord")
+
+        monkeypatch.setattr("multiupdate.engine.InstanceRecord", no_record)
+        _, records, stats = run_sequence(kind, HP, instances, d, cfg,
+                                         num_classes=num_classes, audit=False)
+        assert records is None
+        assert (stats.mistake_rate, stats.updates) == (expected.mistake_rate, expected.updates)
+
+    @pytest.mark.parametrize("audit", [True, False])
+    @pytest.mark.parametrize("support", ["slice", "gathered"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_out_of_range_index_is_a_dimension_error(self, kind, support, audit):
+        # a slice row past d would read a truncated slice of the state, and a
+        # gathered one would raise IndexError, without the dimension check
+        instances, d, num_classes = _kind_instances(kind)
+        x = (SparseVector(np.arange(d + 1), np.full(d + 1, 0.5)) if support == "slice"
+             else SparseVector([1, d], [0.5, -0.5]))
+        assert isinstance(x.sel, slice) == (support == "slice")
+        instances = instances[:5] + [(x, instances[0][1])]
+        with pytest.raises(DimensionMismatchError, match=f"feature index {d} out of range"):
+            run_sequence(kind, HP, instances, d, LoopConfig(m=2), num_classes=num_classes,
+                         audit=audit)
+
+    @pytest.mark.parametrize("kind", ["Perceptron", "PA", "PA1", "PA2", "OGD", "ALMA",
+                                      "ROMMA", "aROMMA"])
+    def test_direct_first_order_step_checks_the_dimension(self, kind):
+        learner = make_binary(kind, 3, HP)
+        learner.begin_instance()
+        for x in (SparseVector([0, 1, 2, 3], [1.0] * 4), SparseVector([1, 3], [1.0, 1.0])):
+            with pytest.raises(DimensionMismatchError, match="feature index 3 out of range"):
+                learner.step(x, 1)
+        assert not learner.w.any()
 
 
 class TestNormBound:

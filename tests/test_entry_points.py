@@ -78,6 +78,35 @@ def test_downdate_matches_outer_product(d):
         assert np.array_equal(sigma, ref)
 
 
+@pytest.mark.parametrize("d", DIMS[1:])
+def test_downdate_keeps_the_elementwise_bits_on_signed_zeros(d):
+    # downdate forms sx sx^T with one BLAS product of sx[:, None] and
+    # sx[None, :]. Each entry is one product (k = 1), rounded once on any
+    # kernel, so it equals the elementwise sx_i * sx_j except perhaps in the
+    # sign of a zero: 0 * (-1) is -0 elementwise, and a kernel may give +0.
+    # Sigma never holds -0.0: it starts from np.eye and changes only by
+    # subtraction (a - a is +0) and by *= b with b > 0. So Sigma - (+0) and
+    # Sigma - (-0) give the same bits, and the diagonal check reads
+    # s_i^2 >= +0 either way. Gathered rows on Sigma = I leave exact zeros in
+    # sx beside the negative entries.
+    gathered = [SparseVector(x.indices, np.abs(x.values) * np.resize([-1.0, 1.0], x.values.size))
+                for x in _rows(d, d + 14) if not isinstance(x.sel, slice)]
+    for a, b in zip(gathered, gathered[1:]):
+        sigma = np.eye(d)
+        ref = sigma.copy()
+        cycle = SigmaCycle(sigma)
+        for x in (a, b):
+            cycle.bind(sigma, x)
+            v = cycle.sigma_x(x)
+            sx = cycle.sx.copy()
+            assert (sx == 0.0).any() and (sx < 0.0).any()
+            coef = 0.5 / (1.0 + v)
+            ref = ref - coef * np.multiply.outer(sx, sx)
+            cycle.downdate(coef)
+            assert sigma.tobytes() == ref.tobytes()
+            assert not np.signbit(sigma[sigma == 0.0]).any()
+
+
 @pytest.mark.parametrize("d", DIMS)
 def test_bound_cycles_match_the_plain_forms_across_repeats(d):
     # one SigmaCycle keeps x's views of Sigma between cycles; repeats on one
