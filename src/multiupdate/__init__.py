@@ -1,7 +1,7 @@
 """Online learners with repeated within-instance updates, plus a benchmark harness."""
 from .bench import BenchmarkResult, CellSummary, emit, resolve_algorithms, run_benchmark
 from .binary import BINARY_KINDS, BinaryLearner, make_binary
-from .core import Learner, SparseVector, UpdateInfo, hinge_loss, predict_linear
+from .core import Learner, SparseVector, UpdateInfo
 from .data import Dataset, load_dataset, normalize_labels, parse_sparse_text, parse_text, subsample
 from .engine import (BoundReport, CountingMode, InstanceRecord, LoopConfig, RunStats,
                      check_norm_bound, process_instance, run_sequence, trace_records)
@@ -19,8 +19,7 @@ __all__ = [
     "DataError", "Dataset", "DimensionMismatchError", "HyperParams", "InstanceRecord",
     "Learner", "LoopConfig", "MulticlassLearner", "NumericalDegeneracyError", "RunStats",
     "SparseVector", "UpdateInfo", "Xoshiro256StarStar",
-    "check_norm_bound", "emit", "hinge_loss", "load_dataset", "make_binary",
-    "make_multiclass", "normalize_labels", "parse_sparse_text", "parse_text", "permutation",
-    "predict_linear", "process_instance", "resolve_algorithms", "run_benchmark",
-    "run_sequence", "subsample", "trace_records",
+    "check_norm_bound", "emit", "load_dataset", "make_binary", "make_multiclass",
+    "normalize_labels", "parse_sparse_text", "parse_text", "permutation", "process_instance",
+    "resolve_algorithms", "run_benchmark", "run_sequence", "subsample", "trace_records",
 ]

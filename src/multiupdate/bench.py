@@ -139,14 +139,13 @@ def _run_one(kind: str, m: int, run_index: int):
     return stats, audit_summary, lines
 
 
-def check_sweep(m_values: list[int], runs: int, base_seed: int,
-                threads: int | None = None) -> tuple[list[int], int]:
+def check_sweep(m_values: list[int], runs: int, base_seed: int) -> tuple[list[int], int]:
     """Check a sweep's settings before any work: return the distinct m
     values in ascending order and the worker count. Run r permutes with
     base_seed + r, so every run's seed must fit in 64 bits: the generator
-    would wrap a larger one onto another run's seed. threads=None reads
-    BENCH_THREADS (unset means 1); the count is capped at the CPU count
-    here, not at runs, because every (kind, m, run) task goes to one pool.
+    would wrap a larger one onto another run's seed. The worker count is
+    BENCH_THREADS (unset means 1), capped at the CPU count here, not at
+    runs, because every (kind, m, run) task goes to one pool.
     run_benchmark caps it again at the task count."""
     if runs < 1:
         raise ConfigError("--runs must be >= 1")
@@ -158,12 +157,11 @@ def check_sweep(m_values: list[int], runs: int, base_seed: int,
     for m in m_values:
         if m < 1:
             raise ConfigError(f"--m values must be >= 1, got {m}")
-    if threads is None:
-        raw = os.environ.get("BENCH_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(f"BENCH_THREADS must be an integer, got {raw!r}") from None
+    raw = os.environ.get("BENCH_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"BENCH_THREADS must be an integer, got {raw!r}") from None
     return sorted(set(m_values)), max(1, min(threads, os.cpu_count() or 1))
 
 
@@ -171,12 +169,11 @@ def run_benchmark(dataset: Dataset, algorithms: str | list[str], m_values: list[
                   runs: int, base_seed: int, *,
                   counting_mode: CountingMode = CountingMode.FIRST_PREDICTION,
                   hp: HyperParams | None = None,
-                  threads: int | None = None,
                   audit: bool = False,
                   trace_fh=None) -> BenchmarkResult:
     """Run the full sweep; cells appear in algorithm order, then ascending m.
     Trace rows stream out cell by cell, so a failed run keeps earlier rows."""
-    m_values, threads = check_sweep(m_values, runs, base_seed, threads)
+    m_values, threads = check_sweep(m_values, runs, base_seed)
     hp = hp or HyperParams()
     algorithms = resolve_algorithms(algorithms, dataset.label_space)
 

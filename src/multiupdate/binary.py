@@ -1,6 +1,6 @@
 """Binary classification catalog: sixteen online learners behind the
-core.Learner contract, each adding score(x) -> float, the current
-prediction score <w_eff, x>.
+core.Learner contract, adding score(x) -> float, the current prediction
+score <state, x> on the vector a step predicts from.
 
 The Perceptron, PA, ROMMA, CW and AROW families and SOP take their steps
 from core; this module supplies the binary hooks: the margin y*s, the update
@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import (PASSIVE_EPS, ArowStep, CWStep, Learner, PAStep, PerceptronStep, RommaStep,
                    SigmaCycle, SparseVector, dense_add, fired, ogd_tau, pa1_tau, pa2_tau,
-                   passive, predict_linear, scw1_alpha, scw2_alpha, sparse_add)
+                   passive, scw1_alpha, scw2_alpha, sparse_add)
 from .errors import ConfigError, DimensionMismatchError
 from .params import HyperParams
 
@@ -34,32 +34,34 @@ def _sq_change(w: np.ndarray, old: np.ndarray | None) -> float:
 
 
 class BinaryLearner(Learner):
-    """A learner whose prediction is the sign of score(x)."""
+    """A learner whose prediction is the sign of score(x) = <_scored, x>.
+
+    Each state base binds _scored once in __init__, like _audited: w for the
+    first-order kinds, SOP's w = P v, and the mean mu. Every update writes it
+    in place, so score reads the state step predicts from. _margin is
+    score's check, gather and dot inline, the same bits without the call.
+    """
 
     def score(self, x: SparseVector) -> float:
-        raise NotImplementedError
+        if x.max_index >= self.d:
+            raise DimensionMismatchError(
+                f"feature index {x.max_index} out of range for dimension {self.d}"
+            )
+        return float(self._scored[x.sel].dot(x.values))
 
     def _margin(self, x, y):
-        m = y * self.score(x)
+        if x.max_index >= self.d:
+            raise DimensionMismatchError(
+                f"feature index {x.max_index} out of range for dimension {self.d}"
+            )
+        m = y * float(self._scored[x.sel].dot(x.values))
         return m <= 0, m, y
 
 
 class FirstOrderLearner(BinaryLearner):
     def __init__(self, d, hp):
         super().__init__(d, hp)
-        self.w = self._audited = np.zeros(d)
-
-    def score(self, x):
-        return predict_linear(self.w, x)
-
-    def _margin(self, x, y):
-        # predict_linear's check, gather and dot, inline: the same bits
-        if x.max_index >= self.d:
-            raise DimensionMismatchError(
-                f"feature index {x.max_index} out of range for dimension {self.d}"
-            )
-        m = y * float(self.w[x.sel].dot(x.values))
-        return m <= 0, m, y
+        self.w = self._audited = self._scored = np.zeros(d)
 
     def _add_x(self, x, y, r, coef):
         return sparse_add(self.w, x, coef * y, self.audit)
@@ -167,12 +169,9 @@ class SOP(PerceptronStep, BinaryLearner):
     def __init__(self, d, hp):
         super().__init__(d, hp)
         self.v = self._audited = np.zeros(d)
-        self._w = np.zeros(d)
+        self._w = self._scored = np.zeros(d)
         self._P = np.eye(d) / hp.sop_a
         self._cycle = SigmaCycle(self._P)
-
-    def score(self, x):
-        return predict_linear(self._w, x)
 
     def _add_x(self, x, y, r, coef):
         dsq = sparse_add(self.v, x, coef * y, self.audit)
@@ -194,17 +193,15 @@ class SOP(PerceptronStep, BinaryLearner):
 class SecondOrderLearner(BinaryLearner):
     """Gaussian-state family: mean mu plus covariance Sigma, initialized N(0, I).
 
-    A step binds x in its SigmaCycle first, so _margin reads x's view of mu.
+    A step binds x in its SigmaCycle first, so _margin reads x's bound view
+    of mu, which the binding has already checked against d.
     """
 
     def __init__(self, d, hp):
         super().__init__(d, hp)
-        self.mu = self._audited = np.zeros(d)
+        self.mu = self._audited = self._scored = np.zeros(d)
         self.sigma = np.eye(d)
         self._cycle = SigmaCycle(self.sigma, self.mu)
-
-    def score(self, x):
-        return predict_linear(self.mu, x)
 
     def _margin(self, x, y):
         m = y * float(self._cycle.mean_x.dot(x.values))

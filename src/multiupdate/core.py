@@ -1,5 +1,5 @@
-"""Shared domain types, loss functions, linear prediction, the closed-form
-update rules, and the five update steps both catalogs share.
+"""Shared domain types, the closed-form update rules, and the five update
+steps both catalogs share.
 
 A multiclass PA, ROMMA, CW or AROW kind, and M_PerceptronM, is its binary
 rule on the difference vector Phi(x, y) - Phi(x, r) (Crammer et al., JMLR
@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -43,13 +44,19 @@ class SparseVector:
 
     def __init__(self, indices, values):
         idx = np.asarray(indices)
+        # numpy holds Python ints at or past 2**63 as uint64, as float64 beside
+        # smaller ints, and as objects past 2**64; each is out of int64's range
+        too_wide = "feature indices must fit in 64 bits"
         if idx.dtype.kind == "f" and not np.all((abs(idx) < 2.0 ** 63) & (idx == np.trunc(idx))):
+            if all(isinstance(i, numbers.Integral) for i in np.asarray(indices, dtype=object).flat):
+                raise ValueError(too_wide)
             raise ValueError("feature indices must be integers")
+        if idx.dtype.kind == "u" and idx.size and idx.max() >= 2 ** 63:
+            raise ValueError(too_wide)
         try:
             idx = idx.astype(np.int64, copy=False)
         except OverflowError:
-            # a Python int past int64 makes an object array
-            raise ValueError("feature indices must fit in 64 bits") from None
+            raise ValueError(too_wide) from None
         val = np.asarray(values, dtype=np.float64)
         if idx.shape != val.shape or idx.ndim != 1:
             raise ValueError("indices and values must be 1-d arrays of equal length")
@@ -109,20 +116,6 @@ def _selector(indices: np.ndarray, max_index: int) -> slice | np.ndarray:
     """SparseVector.sel: strictly increasing indices >= 0 are 0..nnz-1 exactly
     when the last one is nnz - 1."""
     return slice(0, indices.size) if max_index == indices.size - 1 else indices
-
-
-def predict_linear(w: np.ndarray, x: SparseVector) -> float:
-    """Sparse dot product <w, x>; the score's sign is the predicted binary label."""
-    if x.max_index >= len(w):
-        raise DimensionMismatchError(
-            f"feature index {x.max_index} out of range for dimension {len(w)}"
-        )
-    return float(w[x.sel].dot(x.values))
-
-
-def hinge_loss(y: int, score: float) -> float:
-    """max(0, 1 - y*score): zero only with correct sign and margin >= 1."""
-    return max(0.0, 1.0 - y * score)
 
 
 class UpdateInfo(NamedTuple):
@@ -221,7 +214,7 @@ class Learner:
         return math.sqrt(self._audited.dot(self._audited))
 
 
-def sparse_add(row: np.ndarray, x: SparseVector, coef: float, audit: bool = True) -> float:
+def sparse_add(row: np.ndarray, x: SparseVector, coef: float, audit: bool) -> float:
     """row += coef * x on x's support; returns the realized squared change,
     or 0.0 without computing it when audit is False.
 

@@ -147,17 +147,14 @@ def _run_cycles(learner: Learner, instances: Sequence[tuple[SparseVector, int]],
     return updates, cycle_mistake_total if per_iteration else float(first_mistakes)
 
 
-def process_instance(learner: Learner, x: SparseVector, y: int, cfg: LoopConfig,
-                     w0_norm: float | None = None) -> InstanceRecord:
+def process_instance(learner: Learner, x: SparseVector, y: int, cfg: LoopConfig) -> InstanceRecord:
     """Run up to cfg.m predict/update cycles on one (x, y): the engine's cycle
     loop on a one-instance sequence, returning its record.
 
-    w0_norm is the learner's primary_norm() on entry; it is computed when the
-    caller does not know it. A learner that is not auditing takes no norm,
-    and both norms read NaN.
+    w0_norm is the learner's primary_norm() on entry. A learner that is not
+    auditing takes no norm, and both norms read NaN.
     """
-    if w0_norm is None:
-        w0_norm = learner.primary_norm() if learner.audit else math.nan
+    w0_norm = learner.primary_norm() if learner.audit else math.nan
     records: list[InstanceRecord] = []
     _run_cycles(learner, ((x, y),), cfg, w0_norm, records)
     return records[0]

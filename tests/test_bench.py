@@ -198,8 +198,10 @@ class TestProtocol:
         monkeypatch.setattr(os, "cpu_count", lambda: 4)   # a pool on any machine
         kwargs = dict(algorithms=algorithms, m_values=[1, 2], runs=4, base_seed=3, audit=True)
         traces = io.StringIO(), io.StringIO()
-        serial = run_benchmark(ds, threads=1, trace_fh=traces[0], **kwargs)
-        parallel = run_benchmark(ds, threads=3, trace_fh=traces[1], **kwargs)
+        monkeypatch.setenv("BENCH_THREADS", "1")
+        serial = run_benchmark(ds, trace_fh=traces[0], **kwargs)
+        monkeypatch.setenv("BENCH_THREADS", "3")
+        parallel = run_benchmark(ds, trace_fh=traces[1], **kwargs)
         # cpu time differs in noise; everything deterministic must match
         assert emit(serial, "csv") == emit(parallel, "csv")
         assert serial.audited_instances == parallel.audited_instances
@@ -264,9 +266,9 @@ class TestPool:
             return run_sequence(kind, hp, sequence, d, cfg, **kwargs)
 
         monkeypatch.setattr(bench, "run_sequence", degenerate_cw_at_m2)
+        monkeypatch.setenv("BENCH_THREADS", "5000")
         with pytest.raises(NumericalDegeneracyError, match="^CW m=2 run=0: covariance"):
-            run_benchmark(binary_ds, ["PA", "CW", "OGD"], [1, 2], runs=3, base_seed=0,
-                          threads=5000)
+            run_benchmark(binary_ds, ["PA", "CW", "OGD"], [1, 2], runs=3, base_seed=0)
         assert [p.max_workers for p in fake_pools] == [2]
         assert fake_pools[0].shutdown_kwargs == {"cancel_futures": True}
 
@@ -285,9 +287,10 @@ class TestAuditIsReadOnly:
     """The audit and the trace read the sweep; they must not change it."""
 
     @pytest.mark.parametrize("space", ["binary", "multiclass"])
-    def test_csv_identical_with_and_without_audit_and_trace(self, space):
+    def test_csv_identical_with_and_without_audit_and_trace(self, space, monkeypatch):
+        monkeypatch.delenv("BENCH_THREADS", raising=False)
         ds = _stand_in(space)
-        kwargs = dict(algorithms="all", m_values=[1, 4, 32], runs=2, base_seed=0, threads=1)
+        kwargs = dict(algorithms="all", m_values=[1, 4, 32], runs=2, base_seed=0)
         plain = run_benchmark(ds, **kwargs)
         trace = io.StringIO()
         audited = run_benchmark(ds, audit=True, trace_fh=trace, **kwargs)
@@ -305,7 +308,8 @@ class TestAuditIsReadOnly:
 
         for cls in (*BINARY_KINDS.values(), *MULTICLASS_KINDS.values()):
             monkeypatch.setattr(cls, "primary_norm", boom)
-        result = run_benchmark(_stand_in(space), "all", [1, 4], runs=2, base_seed=0, threads=1)
+        monkeypatch.delenv("BENCH_THREADS", raising=False)
+        result = run_benchmark(_stand_in(space), "all", [1, 4], runs=2, base_seed=0)
         assert len(result.cells) == (32 if space == "binary" else 26)
         assert result.audited_instances == 0
 

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multiupdate.binary import BINARY_KINDS, make_binary
-from multiupdate.core import PASSIVE_EPS, SparseVector, hinge_loss
+from multiupdate.core import PASSIVE_EPS, SparseVector
 from multiupdate.data import parse_text
 from multiupdate.engine import (
     CountingMode,
@@ -306,7 +306,7 @@ class TestRunSequence:
             learner.begin_instance()
             losses = []
             for _ in range(8):
-                losses.append(hinge_loss(y, learner.score(x)))
+                losses.append(max(0.0, 1.0 - y * learner.score(x)))
                 learner.step(x, y)
             for a, b in zip(losses, losses[1:]):
                 assert b <= a + 1e-12

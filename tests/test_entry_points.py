@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from multiupdate.binary import BINARY_KINDS, SOP, make_binary
-from multiupdate.core import SigmaCycle, SparseVector, predict_linear
+from multiupdate.core import SigmaCycle, SparseVector
+from multiupdate.errors import DimensionMismatchError
 from multiupdate.multiclass import MULTICLASS_KINDS, make_multiclass
 from multiupdate.params import HyperParams
 
@@ -44,12 +45,44 @@ def _audited(learner) -> np.ndarray:
     raise AssertionError(f"{learner.kind} has no audited vector")
 
 
+def _scored(learner) -> np.ndarray:
+    """The vector a binary kind predicts from: SOP's w = P v, mu, or w."""
+    for name in ("_w", "mu", "w"):
+        if hasattr(learner, name):
+            return getattr(learner, name)
+    raise AssertionError(f"{learner.kind} has no scored vector")
+
+
+@pytest.mark.parametrize("audit", [True, False], ids=["audited", "unaudited"])
 @pytest.mark.parametrize("d", DIMS)
-def test_predict_linear_matches_matmul(d):
-    w = np.random.default_rng(d).normal(size=d)
-    for x in _rows(d, d + 1):
-        assert predict_linear(w, x) == float(w[x.indices] @ x.values)
+@pytest.mark.parametrize("kind", list(BINARY_KINDS))
+def test_score_and_margin_match_matmul(kind, d, audit):
+    # score and a step's margin read the same state: on full-support and
+    # gathered rows, before the first step and after each one
+    learner = make_binary(kind, d, HyperParams())
+    learner.audit = audit
+    state = _scored(learner)
+    rows = _rows(d, d + 1)
+    for i, x in enumerate(rows + rows[::-1]):
         assert x.squared_norm() == float(x.values @ x.values)
+        s = learner.score(x)
+        assert s == float(state[x.indices] @ x.values)
+        if hasattr(learner, "sigma"):
+            learner._cycle.bind(learner.sigma, x)     # a Sigma step binds before its margin
+        for y in (-1, 1):
+            assert learner._margin(x, y) == (y * s <= 0, y * s, y)
+        learner.begin_instance()
+        learner.step(x, 1 if i % 3 else -1)
+    assert np.any(state)
+    assert learner.score(SparseVector([], [])) == 0.0
+    x = rows[-1]
+    s = learner.score(x)
+    for alpha in (2.0, -0.5):       # a power of two scales each product and sum exactly
+        state *= alpha
+        s *= alpha
+        assert learner.score(x) == s
+    with pytest.raises(DimensionMismatchError):
+        learner.score(SparseVector([d], [1.0]))
 
 
 @pytest.mark.parametrize("d", DIMS)

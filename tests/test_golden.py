@@ -40,14 +40,15 @@ def sweep(space: str, mode: CountingMode) -> tuple[str, str, int, bool]:
     """(CSV text, trace SHA-256, audited instance checks, audit passed)."""
     trace = io.StringIO()
     result = run_benchmark(_dataset(space), "all", M_VALUES, RUNS, 0,
-                           counting_mode=mode, threads=1, audit=True, trace_fh=trace)
+                           counting_mode=mode, audit=True, trace_fh=trace)
     digest = hashlib.sha256(trace.getvalue().encode("utf-8")).hexdigest()
     return emit(result, "csv"), digest, result.audited_instances, result.audit_passed
 
 
 @pytest.mark.parametrize("mode", list(CountingMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("space", ["binary", "multiclass"])
-def test_golden_sweep(space, mode):
+def test_golden_sweep(space, mode, monkeypatch):
+    monkeypatch.delenv("BENCH_THREADS", raising=False)
     name = f"{space}-{mode.value}"
     expected = json.loads((GOLDEN / "golden.json").read_text())[name]
     csv, digest, audited, passed = sweep(space, mode)

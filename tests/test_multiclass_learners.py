@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiupdate.binary import make_binary
-from multiupdate.core import SparseVector, hinge_loss, romma_coefs
+from multiupdate.core import SparseVector, romma_coefs
 from multiupdate.data import normalize_labels, parse_text
 from multiupdate.engine import LoopConfig, run_sequence, trace_records
 from multiupdate.numerics import inv_norm_cdf
@@ -284,7 +284,7 @@ class TestInvariants:
             binary.begin_instance()
             multi.begin_instance()
             score = binary.score(x)
-            b_loss, m_loss = hinge_loss(y, score), margin_loss(multi, x, label)
+            b_loss, m_loss = max(0.0, 1.0 - y * score), margin_loss(multi, x, label)
             w, W = binary.w.copy(), multi.W.copy()
             b_info = binary.step(x, y)
             m_info = multi.step(x, label)

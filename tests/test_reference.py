@@ -32,6 +32,13 @@ runner-up r over c != y, the difference vector's DIR_SQ = 2 and U's and S's
 exact 1/|E| split of the -x mass. Their gaps mirror the binary ones: M_PA2
 stops two cycles early on permutation 1 at m = 32, and M_aROMMA re-fires on
 its float residual at m = 4 and 32.
+
+The multiclass Sigma kinds M_CW, M_SCW1, M_SCW2 and M_AROW run on the same
+stand-in through the binary Sigma steps, with K mean rows and one shared
+Sigma: the confidence of the difference vector is DIR_SQ * x^T Sigma x, rows
+y and r move by +/- alpha * Sigma x and the rank-1 decrement is doubled.
+M_CW, M_SCW1 and M_AROW agree in every case; M_SCW2 takes one or two more
+updates in floats at m = 32, with the same mistakes.
 """
 from __future__ import annotations
 
@@ -187,12 +194,17 @@ def _sigma_steps(kind: str, margin: Decimal, v: Decimal) -> tuple[Decimal, Decim
     return loss * beta, beta
 
 
-def reference_sigma_run(kind: str, instances, d: int, m: int) -> tuple[int, int]:
+def reference_sigma_run(kind: str, instances, d: int, m: int,
+                        num_classes: int | None = None) -> tuple[int, int]:
     """(updates, first-prediction mistakes) of one Sigma-kind run at 60 digits:
-    mu += alpha*y*Sigma x and Sigma -= coef*(Sigma x)(Sigma x)^T per update."""
+    mu += alpha*y*Sigma x and Sigma -= coef*(Sigma x)(Sigma x)^T per update.
+    With num_classes, of a multiclass kind on that many mean rows and one
+    shared Sigma: the confidence is v = DIR_SQ * x^T Sigma x, rows y and r
+    move by +alpha*Sigma x and -alpha*Sigma x, and the decrement is doubled."""
     updates = mistakes = 0
+    dir_sq = 1 if num_classes is None else DIR_SQ
     with decimal.localcontext(decimal.Context(prec=60)):
-        mu = [ZERO] * d
+        rows = [[ZERO] * d for _ in range(num_classes or 1)]
         sigma = [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
         for x, y in instances:
             dense = [ZERO] * d
@@ -200,17 +212,27 @@ def reference_sigma_run(kind: str, instances, d: int, m: int) -> tuple[int, int]
                 dense[i] = Decimal(v)
             xsq = _dot(dense, dense)
             for k in range(m):
-                margin = y * _dot(mu, dense)
+                s = [_dot(row, dense) for row in rows]
+                if num_classes is None:
+                    margin, moves = y * s[0], {0: y}
+                    mistake = margin <= 0
+                else:
+                    r = _argmax(s, skip=y)
+                    margin, moves = s[y] - s[r], {y: 1, r: -1}
+                    mistake = _argmax(s) != y
                 if k == 0:
-                    mistakes += margin <= 0
+                    mistakes += mistake
                 sx = [_dot(row, dense) for row in sigma]
-                steps = None if xsq <= EPS else _sigma_steps(kind, margin, _dot(sx, dense))
+                steps = None if xsq <= EPS else _sigma_steps(
+                    kind.removeprefix("M_"), margin, dir_sq * _dot(sx, dense))
                 if steps is None:
                     break
                 alpha, coef = steps
+                coef *= dir_sq
                 for row, si in zip(sigma, sx):
-                    row[:] = [s - coef * si * sj for s, sj in zip(row, sx)]
-                mu[:] = [mi + alpha * y * si for mi, si in zip(mu, sx)]
+                    row[:] = [e - coef * si * sj for e, sj in zip(row, sx)]
+                for c, sign in moves.items():
+                    rows[c][:] = [wi + alpha * sign * si for wi, si in zip(rows[c], sx)]
                 updates += 1
     return updates, mistakes
 
@@ -315,3 +337,23 @@ def test_multiclass_float_counts_equal_the_60_digit_reference(kind, m, seed):
     instances = [data.instances[i] for i in permutation(len(data.instances), seed)]
     assert (float_run(kind, instances, data.d, m, data.num_classes)
             == reference_run(kind, instances, data.d, m, data.num_classes))
+
+
+MULTI_SIGMA_CASES = [(kind, m, seed) for kind in ("M_CW", "M_SCW1", "M_SCW2", "M_AROW")
+                     for m in (1, 4, 32) for seed in (0, 1)]
+MULTI_SIGMA_GAPS = {
+    ("M_SCW2", 32, 0): ((690, 22), (691, 22)),
+    ("M_SCW2", 32, 1): ((689, 18), (691, 18)),
+}
+
+
+@pytest.mark.parametrize("kind, m, seed", [
+    pytest.param(*case, marks=pytest.mark.xfail(
+        strict=True, reason="reference (updates, mistakes) %s against floats %s"
+        % MULTI_SIGMA_GAPS[case])) if case in MULTI_SIGMA_GAPS else case
+    for case in MULTI_SIGMA_CASES])
+def test_multiclass_sigma_float_counts_equal_the_60_digit_reference(kind, m, seed):
+    data = GOLDEN_MULTICLASS
+    instances = [data.instances[i] for i in permutation(len(data.instances), seed)]
+    assert (float_run(kind, instances, data.d, m, data.num_classes)
+            == reference_sigma_run(kind, instances, data.d, m, data.num_classes))
