@@ -1,4 +1,14 @@
 """Online learners with repeated within-instance updates, plus a benchmark harness."""
+import os
+
+# One BLAS thread per process, set before the first import loads numpy. The
+# learners' products are too small to give a second OpenBLAS thread work (d <= 54
+# on every benchmark workload), yet each idle worker spins on a CPU; and past
+# 10,000 elements OpenBLAS splits a ddot across its threads, which rounds the
+# sum in another order, so the output bytes would depend on the core count.
+# A value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bench import BenchmarkResult, CellSummary, emit, resolve_algorithms, run_benchmark
 from .binary import BINARY_KINDS, BinaryLearner, make_binary
 from .core import Learner, SparseVector, UpdateInfo

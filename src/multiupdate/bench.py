@@ -18,7 +18,6 @@ import hashlib
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,8 +143,8 @@ def check_sweep(m_values: list[int], runs: int, base_seed: int) -> tuple[list[in
     values in ascending order and the worker count. Run r permutes with
     base_seed + r, so every run's seed must fit in 64 bits: the generator
     would wrap a larger one onto another run's seed. The worker count is
-    BENCH_THREADS (unset means 1), capped at the CPU count here, not at
-    runs, because every (kind, m, run) task goes to one pool.
+    BENCH_THREADS (unset means 1), capped at the CPUs this process may run
+    on here, not at runs, because every (kind, m, run) task goes to one pool.
     run_benchmark caps it again at the task count."""
     if runs < 1:
         raise ConfigError("--runs must be >= 1")
@@ -162,7 +161,15 @@ def check_sweep(m_values: list[int], runs: int, base_seed: int) -> tuple[list[in
         threads = int(raw)
     except ValueError:
         raise ConfigError(f"BENCH_THREADS must be an integer, got {raw!r}") from None
-    return sorted(set(m_values)), max(1, min(threads, os.cpu_count() or 1))
+    return sorted(set(m_values)), max(1, min(threads, _usable_cpus()))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (under taskset it can be smaller than the machine's count)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_benchmark(dataset: Dataset, algorithms: str | list[str], m_values: list[int],
@@ -204,6 +211,7 @@ def run_benchmark(dataset: Dataset, algorithms: str | list[str], m_values: list[
     try:
         if workers > 1:
             import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             pool = ProcessPoolExecutor(max_workers=workers,
                                        mp_context=multiprocessing.get_context("fork"))
         # consumed in task order, so CSV, audit and trace rows keep cell order

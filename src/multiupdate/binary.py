@@ -19,9 +19,9 @@ import math
 import numpy as np
 
 from .core import (PASSIVE_EPS, ArowStep, CWStep, Learner, PAStep, PerceptronStep, RommaStep,
-                   SigmaCycle, SparseVector, dense_add, fired, ogd_tau, pa1_tau, pa2_tau,
-                   passive, scw1_alpha, scw2_alpha, sparse_add)
-from .errors import ConfigError, DimensionMismatchError
+                   SigmaCycle, SparseVector, dense_add, dimension_error, fired, ogd_tau, pa1_tau,
+                   pa2_tau, passive, scw1_alpha, scw2_alpha, sparse_add)
+from .errors import ConfigError
 from .params import HyperParams
 
 
@@ -44,16 +44,12 @@ class BinaryLearner(Learner):
 
     def score(self, x: SparseVector) -> float:
         if x.max_index >= self.d:
-            raise DimensionMismatchError(
-                f"feature index {x.max_index} out of range for dimension {self.d}"
-            )
+            raise dimension_error(x, self.d)
         return float(self._scored[x.sel].dot(x.values))
 
     def _margin(self, x, y):
         if x.max_index >= self.d:
-            raise DimensionMismatchError(
-                f"feature index {x.max_index} out of range for dimension {self.d}"
-            )
+            raise dimension_error(x, self.d)
         m = y * float(self._scored[x.sel].dot(x.values))
         return m <= 0, m, y
 

@@ -112,6 +112,13 @@ class SparseVector:
         return hash((self.indices.tobytes(), self.values.tobytes()))
 
 
+def dimension_error(x: SparseVector, d: int) -> DimensionMismatchError:
+    """The error for a row whose largest index does not fit dimension d. Each
+    check stays inline (x.max_index >= d) and builds this only on failure, so
+    a cycle whose row fits makes no extra call."""
+    return DimensionMismatchError(f"feature index {x.max_index} out of range for dimension {d}")
+
+
 def _selector(indices: np.ndarray, max_index: int) -> slice | np.ndarray:
     """SparseVector.sel: strictly increasing indices >= 0 are 0..nnz-1 exactly
     when the last one is nnz - 1."""
@@ -361,9 +368,7 @@ class SigmaCycle:
         if x is self.x and sigma is self.sigma:
             return
         if x.max_index >= len(self.sx):
-            raise DimensionMismatchError(
-                f"feature index {x.max_index} out of range for dimension {len(self.sx)}"
-            )
+            raise dimension_error(x, len(self.sx))
         sel = x.sel
         if isinstance(sel, slice):
             self.rows_t = sigma[sel].T

@@ -28,9 +28,9 @@ import operator
 import numpy as np
 
 from .core import (ArowStep, CWStep, Learner, PAStep, PerceptronStep, RommaStep, SigmaCycle,
-                   SparseVector, dense_add, ogd_tau, pa1_tau, pa2_tau, scw1_alpha, scw2_alpha,
-                   sparse_add)
-from .errors import ConfigError, DimensionMismatchError
+                   SparseVector, dense_add, dimension_error, ogd_tau, pa1_tau, pa2_tau,
+                   scw1_alpha, scw2_alpha, sparse_add)
+from .errors import ConfigError
 from .params import HyperParams
 
 
@@ -62,9 +62,7 @@ class MulticlassLearner(Learner):
 
     def scores(self, x: SparseVector) -> np.ndarray:
         if x.max_index >= self.d:
-            raise DimensionMismatchError(
-                f"feature index {x.max_index} out of range for dimension {self.d}"
-            )
+            raise dimension_error(x, self.d)
         # Same F-ordered operand as W[:, x.indices], so the same rounding.
         return self.W.T.take(x.indices, axis=0).T.dot(x.values)
 

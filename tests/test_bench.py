@@ -195,7 +195,7 @@ class TestProtocol:
                           for r in records], m)
 
         monkeypatch.setattr(bench, "check_norm_bound", halved)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)   # a pool on any machine
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 4)   # a pool on any machine
         kwargs = dict(algorithms=algorithms, m_values=[1, 2], runs=4, base_seed=3, audit=True)
         traces = io.StringIO(), io.StringIO()
         monkeypatch.setenv("BENCH_THREADS", "1")
@@ -235,8 +235,8 @@ def fake_pools(monkeypatch):
         def shutdown(self, **kwargs):
             self.shutdown_kwargs = kwargs
 
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
     return pools
 
 
@@ -249,6 +249,15 @@ class TestPool:
         assert len(result.cells) == 4
         assert [p.max_workers for p in fake_pools] == workers
         assert all(p.shutdown_kwargs == {"cancel_futures": True} for p in fake_pools)
+
+    def test_workers_capped_at_the_cpus_the_process_may_run_on(self, monkeypatch):
+        # under taskset the affinity set is smaller than the machine's CPU count
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setenv("BENCH_THREADS", "2")
+        assert bench.check_sweep([1], 2, 0) == ([1], 1)
+        monkeypatch.delattr(os, "sched_getaffinity")       # a platform without one
+        assert bench.check_sweep([1], 2, 0) == ([1], 2)
 
     def test_one_task_runs_without_a_pool(self, binary_ds, monkeypatch, fake_pools):
         # the workers are capped at the task count, and one worker is the serial path

@@ -516,7 +516,7 @@ class TestExitCodes:
             raise MemoryError()
 
         monkeypatch.setattr("multiupdate.engine.make_binary", oversized)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr("multiupdate.bench._usable_cpus", lambda: 2)
         monkeypatch.setenv("BENCH_THREADS", threads)
         rc = run_cli("--data", binary_file, "--algos", "PA1", "--m", "1,2", "--runs", "2")
         captured = capsys.readouterr()

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multiupdate.binary import BINARY_KINDS, make_binary
-from multiupdate.core import PASSIVE_EPS, SparseVector
+from multiupdate.core import PASSIVE_EPS, SigmaCycle, SparseVector
 from multiupdate.data import parse_text
 from multiupdate.engine import (
     CountingMode,
@@ -409,6 +409,19 @@ class TestCycleLoop:
         with pytest.raises(DimensionMismatchError, match=f"feature index {d} out of range"):
             run_sequence(kind, HP, instances, d, LoopConfig(m=2), num_classes=num_classes,
                          audit=audit)
+
+    def test_every_dimension_check_raises_one_message(self):
+        # the binary score and margin, the multiclass scores and the Sigma
+        # cycle's bind each check the row; all four raise the same error
+        x = SparseVector([1, 3], [0.5, -0.5])
+        binary = make_binary("PA", 3, HP)
+        multiclass = make_multiclass("M_PA", 3, 3, HP)
+        cycle = SigmaCycle(np.eye(3))
+        for check in (lambda: binary.score(x), lambda: binary._margin(x, 1),
+                      lambda: multiclass.scores(x), lambda: cycle.bind(cycle.sigma, x)):
+            with pytest.raises(DimensionMismatchError) as raised:
+                check()
+            assert str(raised.value) == "feature index 3 out of range for dimension 3"
 
     @pytest.mark.parametrize("kind", ["Perceptron", "PA", "PA1", "PA2", "OGD", "ALMA",
                                       "ROMMA", "aROMMA"])
