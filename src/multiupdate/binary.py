@@ -95,7 +95,7 @@ class PA2(PA):
 class OGD(PA):
     """Online gradient descent on the hinge loss with eta_t = eta0 / sqrt(t).
 
-    t is the outer-instance counter: it advances once per instance, so the
+    t is the instance counter: it advances once per instance, so the
     rate is constant across one instance's repeated update cycles.
     """
 
@@ -152,12 +152,13 @@ class SOP(PerceptronStep, BinaryLearner):
     """Second-order perceptron: the perceptron step on v, which accumulates
     y*x on mistakes; S accumulates x x^T, and predictions use w = (S + a*I)^-1 v.
 
-    S itself is not stored: P = (S + a*I)^-1 starts at I/a and takes a
-    rank-1 Sherman-Morrison update on each mistake, after which w = P v is
-    recomputed. P x comes from the Sigma family's SigmaCycle, which reads
-    rows of P in place of columns; that relies on P staying exactly
-    symmetric, and every update subtracts a multiple of an outer product, so
-    it does.
+    S itself is not stored: P = (S + a*I)^-1 starts at I/a and takes the
+    rank-1 Sherman-Morrison update P -= (P x)(P x)^T / (1 + x^T P x) on each
+    mistake through the Sigma family's SigmaCycle.downdate, whose guard
+    rejects it before v, P or w change. v then takes y*x and w = P v is
+    recomputed. SigmaCycle reads rows of P in place of columns; that relies
+    on P staying exactly symmetric, and every update subtracts a multiple of
+    (P x)(P x)^T, so it does.
     """
 
     kind = "SOP"
@@ -170,19 +171,11 @@ class SOP(PerceptronStep, BinaryLearner):
         self._cycle = SigmaCycle(self._P)
 
     def _add_x(self, x, y, r, coef):
-        dsq = sparse_add(self.v, x, coef * y, self.audit)
         cycle = self._cycle
         cycle.bind(self._P, x)
-        q = cycle.sigma_x(x)
-        # P -= (P x)(P x)^T / (1 + q) and w = P v in the cycle's scratch and
-        # in place: the same bits as the allocating form, since a product of
-        # the rank-1 term can differ only in the sign of a zero, and P, which
-        # like Sigma never holds -0.0, subtracts either to the same bits
-        P, outer = self._P, cycle.outer
-        np.dot(cycle.col, cycle.row, out=outer)
-        np.divide(outer, 1.0 + q, outer)
-        np.subtract(P, outer, P)
-        P.dot(self.v, out=self._w)
+        cycle.downdate(1.0 / (1.0 + cycle.sigma_x(x)))
+        dsq = sparse_add(self.v, x, coef * y, self.audit)
+        self._P.dot(self.v, out=self._w)
         return dsq
 
 

@@ -320,10 +320,16 @@ def cw_step(alpha_rule, m: float, v: float, phi: float,
 
 
 class SigmaCycle:
-    """The Sigma cycle's arithmetic on one covariance matrix, in scratch
-    allocated once: the d-vector Sigma x buffer sx with its column and row
-    views, the d x d rank-1 buffer with its diagonal view, and the views
-    bound to the current instance.
+    """The Sigma cycle's arithmetic on one symmetric positive-definite
+    matrix, in scratch allocated once: the d-vector Sigma x buffer sx with
+    its column and row views, the d x d rank-1 buffer with its diagonal view,
+    and the views bound to the current instance.
+
+    The matrix is the covariance Sigma of the eleven Sigma kinds, binary and
+    multiclass, or SOP's P = (S + a*I)^-1, whose Sherman-Morrison step is
+    downdate(1 / (1 + x^T P x)). All twelve change their matrix only through
+    downdate, one rank-1 update behind one positive-definiteness guard;
+    IELLIP then scales Sigma as a whole.
 
     Every cycle on one instance has the same x, and the state is only ever
     updated in place, so bind(sigma, x) takes what depends only on x and the
@@ -337,17 +343,18 @@ class SigmaCycle:
     gathers again.
 
     The block of rows, transposed, equals sigma[:, x.indices] because Sigma
-    stays exactly symmetric (it starts at I and every downdate and scale is
-    symmetric in IEEE arithmetic). It has the F-ordered layout of
-    sigma.take(x.indices, axis=0).T, so the product takes the same BLAS path
-    and rounds the same way; a C-ordered column gather would round
-    differently. The products go through ndarray.dot with out=, and the
-    rest of the rank-1 update through ufuncs with a positional out: the same
-    gemv, ddot and elementwise loops, so the same bits, as the allocating
-    forms. The rank-1 term sx sx^T is one BLAS product of the column and row
-    views (no broadcast iterator buffers); each entry is a single product,
-    rounded once, so only the sign of a zero can differ from the elementwise
-    form, and Sigma, which never holds -0.0, subtracts either to the same bits.
+    stays exactly symmetric (it starts at I, or I/a for SOP, and every
+    downdate and scale is symmetric in IEEE arithmetic). It has the
+    F-ordered layout of sigma.take(x.indices, axis=0).T, so the product
+    takes the same BLAS path and rounds the same way; a C-ordered column
+    gather would round differently. The products go through ndarray.dot
+    with out=, and the rest of the rank-1 update through ufuncs with a
+    positional out: the same gemv, ddot and elementwise loops, so the same
+    bits, as the allocating forms. The rank-1 term sx sx^T is one BLAS
+    product of the column and row views (no broadcast iterator buffers);
+    each entry is a single product, rounded once, so only the sign of a zero
+    can differ from the elementwise form, and Sigma, which never holds -0.0,
+    subtracts either to the same bits.
     """
 
     __slots__ = ("mean", "sx", "col", "row", "outer", "outer_diag", "sigma", "diag", "x",
@@ -393,18 +400,17 @@ class SigmaCycle:
         """Sigma -= coef * sx sx^T in place, validated before it is applied.
 
         sx is Sigma x after sigma_x, or whatever vector the caller wrote into
-        it since. A non-positive diagonal after the update means the closed
-        form degenerated numerically: NumericalDegeneracyError is raised and
-        Sigma is left untouched. A NaN in the diagonal gap does not raise:
-        the check reads gap[gap.argmin()], and argmin picks the first NaN,
-        which compares False.
+        it since. A non-positive or NaN diagonal after the update means the
+        closed form degenerated numerically: NumericalDegeneracyError is
+        raised and Sigma is left untouched. The check reads gap[gap.argmin()],
+        the least entry or the first NaN, which the negated comparison rejects.
         """
         outer = self.outer
         np.dot(self.col, self.row, out=outer)
         np.multiply(outer, coef, outer)
         gap = self.diag - self.outer_diag
-        if gap[gap.argmin()] <= 0.0:
-            raise NumericalDegeneracyError("covariance update lost positive definiteness")
+        if not gap[gap.argmin()] > 0.0:
+            raise NumericalDegeneracyError("rank-1 update lost positive definiteness")
         np.subtract(self.sigma, outer, self.sigma)
 
 

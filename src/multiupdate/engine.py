@@ -35,9 +35,11 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .binary import make_binary
+import numpy as np
+
+from .binary import BinaryLearner, make_binary
 from .core import Learner, SparseVector
-from .errors import DataError
+from .errors import DataError, NumericalDegeneracyError
 from .multiclass import make_multiclass
 from .params import HyperParams
 
@@ -172,7 +174,8 @@ def run_sequence(kind: str, hp: HyperParams, instances: Sequence[tuple[SparseVec
     the norm is taken once per instance. With audit False the learner skips
     the delta and norm accounting, the loop builds no records and they come
     back as None; the statistics and the learner's final state are the same
-    either way. A dimension whose model cannot be allocated is a DataError.
+    either way. A dimension whose model cannot be allocated is a DataError,
+    and a run that ends with a non-finite state a NumericalDegeneracyError.
     """
     if not instances:
         raise DataError("cannot run on an empty dataset")
@@ -192,9 +195,30 @@ def run_sequence(kind: str, hp: HyperParams, instances: Sequence[tuple[SparseVec
     w0 = learner.primary_norm() if audit else math.nan
     updates, mistakes = _run_cycles(learner, instances, cfg, w0, records)
     cpu = time.thread_time() - started
+    _check_finite(learner, records)
     stats = RunStats(mistake_rate=mistakes / len(instances),
                      updates=float(updates), cpu_seconds=cpu)
     return learner, records, stats
+
+
+def _check_finite(learner: Learner, records: list[InstanceRecord] | None) -> None:
+    """Raise NumericalDegeneracyError unless the learner's audited vector and,
+    on a binary kind, the vector it scores with (SOP's w = P v beside v) are
+    finite. Once per run, not per cycle: a NaN state stays NaN, and a NaN
+    score never counts as a mistake, so the run's statistics would be
+    meaningless. With records, the message names the first instance whose
+    w_star_norm is not finite."""
+    states = [learner._audited]
+    if isinstance(learner, BinaryLearner):
+        states.append(learner._scored)
+    if all(np.isfinite(state).all() for state in states):
+        return
+    where = ""
+    if records is not None:
+        first = next((i for i, r in enumerate(records) if not math.isfinite(r.w_star_norm)), None)
+        if first is not None:
+            where = f"; its norm is first non-finite at instance={first}"
+    raise NumericalDegeneracyError(f"the learner state is not finite (NaN or infinity){where}")
 
 
 class BoundReport(NamedTuple):

@@ -21,12 +21,17 @@ class DimensionMismatchError(ConfigError):
 
 
 class NumericalDegeneracyError(RuntimeError):
-    """A second-order learner's covariance lost positive definiteness.
+    """A learner's arithmetic left the finite, positive-definite range.
 
-    Raised before the degenerate update is committed: either the proposed
-    covariance has a non-positive diagonal entry, or the CW family's
-    x^T Sigma x is NaN or below -PASSIVE_EPS. An x^T Sigma x in
-    [-PASSIVE_EPS, 0) is rounding noise and gives a passive cycle instead.
+    A second-order learner's matrix (the covariance Sigma, or SOP's
+    P = (S + a*I)^-1) raises it before the degenerate update is committed:
+    either the proposed matrix has a non-positive or NaN diagonal entry, or
+    the CW family's x^T Sigma x is NaN or below -PASSIVE_EPS. An
+    x^T Sigma x in [-PASSIVE_EPS, 0) is rounding noise and gives a passive
+    cycle instead. The engine raises it after a run whose learner ends with
+    a state vector (the audited one, or the one a binary kind scores with)
+    that holds a NaN or an infinity: a NaN score never counts as a mistake,
+    so the run's statistics would be meaningless.
     """
 
 

@@ -2,10 +2,16 @@
 
 Everything is generated through the package's own PRNG so datasets are
 identical across platforms and runs.
+
+multiupdate is imported before numpy: the package sets OPENBLAS_NUM_THREADS
+to 1 before numpy first loads OpenBLAS, and OpenBLAS reads the variable only
+then, so the in-process suite runs the one BLAS thread every CLI process does.
 """
 from __future__ import annotations
 
 import math
+
+import multiupdate  # noqa: F401  (before numpy, as the docstring says)
 
 import numpy as np
 import pytest

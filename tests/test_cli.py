@@ -410,6 +410,23 @@ class TestExitCodes:
         assert err[0].startswith("error: M_CW m=1 run=0: ")
         assert "positive definiteness" in err[0]
 
+    @pytest.mark.parametrize("audit", [(), ("--audit-theorem1",)], ids=["plain", "audited"])
+    def test_non_finite_state_exits_4(self, tmp_path, capsys, audit):
+        # the file parses, but ROMMA's w turns NaN after two updates; the run
+        # must not report a mistake rate, and an audited one must not blame
+        # the norm growth bound
+        path = tmp_path / "huge-values.txt"
+        path.write_text(instances_to_text(separable_instances(40, 4, seed=1, scale=1e150)))
+        rc = run_cli("--data", str(path), "--algos", "ROMMA,aROMMA", "--m", "1", "--runs", "1",
+                     "--format", "csv", *audit)
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ROMMA m=1 run=0: the learner state is not finite")
+        assert ("instance=11" in err[0]) is bool(audit)
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failed_sweep_keeps_the_report_and_the_streamed_trace(
             self, tmp_path, monkeypatch, capsys, threads, indefinite_m_cw):

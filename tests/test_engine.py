@@ -347,6 +347,48 @@ class TestRunSequence:
         with pytest.raises(NumericalDegeneracyError, match="positive definiteness"):
             run_sequence("M_CW", HP, instances, 2, LoopConfig(m=4), num_classes=3)
 
+    def test_sop_rejected_downdate_leaves_state_untouched(self):
+        # P = [[1, 10], [10, 1]] and x = e1 give P x = (1, 10) and
+        # x^T P x = 1, so the Sherman-Morrison term would take P_22 to
+        # 1 - 100/2 < 0; the zero w mispredicts, so the step gets that far
+        learner = make_binary("SOP", 2, HP)
+        learner._P[...] = [[1.0, 10.0], [10.0, 1.0]]
+        before = {name: getattr(learner, name).tobytes() for name in ("v", "_P", "_w")}
+        learner.begin_instance()
+        with pytest.raises(NumericalDegeneracyError, match="positive definiteness"):
+            learner.step(vec((1, 1.0)), 1)
+        assert {name: getattr(learner, name).tobytes() for name in before} == before
+
+    @pytest.mark.parametrize("audit", [True, False], ids=["audited", "unaudited"])
+    @pytest.mark.parametrize("kind", ["ROMMA", "aROMMA", "M_ROMMA", "M_aROMMA"])
+    def test_non_finite_state_raises_typed_error(self, kind, audit):
+        # at values near 1e150 ROMMA's w*w and x*x products overflow and w
+        # turns NaN after two updates; a NaN margin is never a mistake, so
+        # without the end-of-run check the run would report a low rate
+        if kind.startswith("M_"):
+            instances, num_classes = blob_instances(60, 4, 3, seed=2), 3
+        else:
+            instances, num_classes = separable_instances(40, 4, seed=1), None
+        instances = [(SparseVector(x.indices, x.values * 1e150), y) for x, y in instances]
+        with pytest.raises(NumericalDegeneracyError, match="not finite") as info:
+            run_sequence(kind, HP, instances, 4, LoopConfig(m=2), num_classes, audit=audit)
+        assert ("instance=" in str(info.value)) is audit
+
+    def test_a_non_finite_scored_vector_raises_beside_a_finite_audited_one(self, monkeypatch):
+        # SOP audits v but scores with w = P v. A NaN in w makes every margin
+        # NaN, so no cycle is a mistake and v stays 0: only w shows the fault
+        from multiupdate.binary import SOP
+        init = SOP.__init__
+
+        def nan_init(self, d, hp):
+            init(self, d, hp)
+            self._w[0] = math.nan
+
+        monkeypatch.setattr(SOP, "__init__", nan_init)
+        instances = separable_instances(20, 3, seed=3)
+        with pytest.raises(NumericalDegeneracyError, match="not finite"):
+            run_sequence("SOP", HP, instances, 3, LoopConfig(m=2), audit=False)
+
 
 def _kind_instances(kind):
     """(instances, d, num_classes) for one kind: 40 blobs on 3 classes for a

@@ -13,7 +13,7 @@ import pytest
 
 from multiupdate.binary import BINARY_KINDS, SOP, make_binary
 from multiupdate.core import SigmaCycle, SparseVector
-from multiupdate.errors import DimensionMismatchError
+from multiupdate.errors import DimensionMismatchError, NumericalDegeneracyError
 from multiupdate.multiclass import MULTICLASS_KINDS, make_multiclass
 from multiupdate.params import HyperParams
 
@@ -187,16 +187,16 @@ def test_a_rebound_sigma_is_picked_up(kind, d):
     assert np.array_equal(learner.sigma, sigma - dir_sq * beta * np.multiply.outer(ref, ref))
 
 
-def test_downdate_with_nan_does_not_raise():
-    # gap.min() propagated the NaN, and NaN <= 0 is False, so a NaN never
-    # raised, even beside a gap that is negative
+@pytest.mark.parametrize("sx", [[np.nan, 2.0, 0.5], [0.5, 0.1, np.nan]])
+def test_downdate_with_nan_raises_and_leaves_sigma(sx):
+    # argmin picks the first NaN of the gap, and not NaN > 0 holds, so a NaN
+    # raises whether or not it sits beside a negative gap
     sigma = np.eye(3)
-    sx = np.array([np.nan, 2.0, 0.5])
-    ref = sigma - 1.0 * np.multiply.outer(sx, sx)
     cycle = SigmaCycle(sigma)
     cycle.sx[...] = sx
-    assert cycle.downdate(1.0) is None
-    assert np.array_equal(sigma, ref, equal_nan=True)
+    with pytest.raises(NumericalDegeneracyError):
+        cycle.downdate(1.0)
+    assert np.array_equal(sigma, np.eye(3))
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -235,7 +235,7 @@ def test_sop_step_matches_outer_and_matmul(d):
         fired += 1
         v[x.indices] += y * x.values
         px = P[:, x.indices] @ x.values
-        P -= np.outer(px, px) / (1.0 + float(px[x.indices] @ x.values))
+        P -= np.outer(px, px) * (1.0 / (1.0 + float(px[x.indices] @ x.values)))
         assert np.array_equal(learner.v, v)
         assert np.array_equal(learner._P, P)
         assert np.array_equal(learner._w, P @ v)

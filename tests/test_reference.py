@@ -1,7 +1,7 @@
 """A 60-digit reference for what m repeated cycles do.
 
-The reference runs Perceptron, PA, PA1, PA2, ROMMA and aROMMA, and the Sigma
-kinds CW, SCW1, SCW2, AROW, NAROW and NHERD, in plain Python decimal
+The reference runs Perceptron, PA, PA1, PA2, ROMMA and aROMMA, the Sigma
+kinds CW, SCW1, SCW2, AROW, NAROW and NHERD, and SOP, in plain Python decimal
 arithmetic at 60 significant digits, with no numpy: every input float is
 converted exactly with Decimal(float), square roots are Decimal.sqrt, and
 the package's own PASSIVE_EPS, ROMMA_EPS, HyperParams defaults and CW
@@ -39,6 +39,10 @@ Sigma: the confidence of the difference vector is DIR_SQ * x^T Sigma x, rows
 y and r move by +/- alpha * Sigma x and the rank-1 decrement is doubled.
 M_CW, M_SCW1 and M_AROW agree in every case; M_SCW2 takes one or two more
 updates in floats at m = 32, with the same mistakes.
+
+SOP runs on the golden binary stand-in as w = P v, with P_0 = I/a exact and
+the Sherman-Morrison step on each mistake. Its counts agree in all six cases
+(m = 1, 4 and 32, permutations 0 and 1).
 """
 from __future__ import annotations
 
@@ -266,6 +270,47 @@ def test_sigma_float_counts_equal_the_60_digit_reference(kind, m, seed, scale):
                  for x, y in (data.instances[i] for i in permutation(len(data.instances), seed))]
     assert (float_run(kind, instances, data.d, m)
             == reference_sigma_run(kind, instances, data.d, m))
+
+
+A = Decimal(HP.sop_a)
+
+
+def reference_sop_run(instances, d: int, m: int) -> tuple[int, int]:
+    """(updates, first-prediction mistakes) of one SOP run at 60 digits: the
+    prediction is the sign of w.x with w = P v and P_0 = I/a, and a cycle
+    fires on a mistake on a non-zero row, where v += y*x and P takes the
+    Sherman-Morrison step P -= (P x)(P x)^T / (1 + x^T P x)."""
+    updates = mistakes = 0
+    with decimal.localcontext(decimal.Context(prec=60)):
+        v, w = [ZERO] * d, [ZERO] * d
+        P = [[ONE / A if i == j else ZERO for j in range(d)] for i in range(d)]
+        for x, y in instances:
+            dense = [ZERO] * d
+            for i, xi in x.pairs():
+                dense[i] = Decimal(xi)
+            xsq = _dot(dense, dense)
+            for k in range(m):
+                mistake = y * _dot(w, dense) <= 0
+                if k == 0:
+                    mistakes += mistake
+                if not mistake or xsq <= EPS:
+                    break
+                px = [_dot(row, dense) for row in P]
+                coef = ONE / (ONE + _dot(px, dense))
+                for row, pi in zip(P, px):
+                    row[:] = [e - coef * pi * pj for e, pj in zip(row, px)]
+                v = [vi + y * xi for vi, xi in zip(v, dense)]
+                w = [_dot(row, v) for row in P]
+                updates += 1
+    return updates, mistakes
+
+
+@pytest.mark.parametrize("m", (1, 4, 32))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_sop_float_counts_equal_the_60_digit_reference(m, seed):
+    data = GOLDEN_BINARY
+    instances = [data.instances[i] for i in permutation(len(data.instances), seed)]
+    assert float_run("SOP", instances, data.d, m) == reference_sop_run(instances, data.d, m)
 
 
 GOLDEN_MULTICLASS = normalize_labels(parse_text(instances_to_text(

@@ -1,14 +1,18 @@
 """The BLAS thread policy: importing multiupdate sets OPENBLAS_NUM_THREADS=1
 unless the variable is already set.
 
-Each test runs a child process with the variable removed from its
-environment (this process has imported multiupdate, so it holds the value).
+Each test but one runs a child process with the variable removed from its
+environment (this process has imported multiupdate, so it holds the value);
+the one reads OpenBLAS's thread count in this process, which conftest has
+imported multiupdate into before numpy.
+
 Past 10,000 elements OpenBLAS splits a ddot across its threads and rounds the
 sum in another order, so on a machine with two or more CPUs the wide-file
 trace below differs between one thread and the default without the policy.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import random
@@ -22,21 +26,33 @@ import multiupdate
 
 SRC = str(Path(multiupdate.__file__).parents[1])
 
-# Prints the variable after the import, and OpenBLAS's runtime thread count
-# when numpy bundles scipy-openblas (None otherwise).
-PROBE = """
-import ctypes, glob, json, os
+
+def blas_thread_count() -> int | None:
+    """OpenBLAS's runtime thread count when numpy bundles scipy-openblas,
+    else None. Called in this process, and in PROBE after the import."""
+    import ctypes
+    import glob
+    import os
+
+    import numpy
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        get = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            return get()
+    return None
+
+
+# Prints the variable after the import, and OpenBLAS's runtime thread count.
+PROBE = inspect.getsource(blas_thread_count) + """
+import json, os
 import multiupdate
-import numpy
-libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
-count = None
-for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-    get = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
-    if get is not None:
-        get.argtypes, get.restype = [], ctypes.c_int
-        count = get()
-print(json.dumps({"env": os.environ.get("OPENBLAS_NUM_THREADS"), "blas": count}))
+print(json.dumps({"env": os.environ.get("OPENBLAS_NUM_THREADS"), "blas": blas_thread_count()}))
 """
+
+NO_COUNT = ("numpy.libs has no scipy-openblas library exporting "
+            "scipy_openblas_get_num_threads64_, so the runtime count cannot be read")
 
 
 def _env(threads: str | None) -> dict:
@@ -67,8 +83,16 @@ def test_import_sets_one_blas_thread(unset_probe):
 def test_openblas_runs_one_thread_after_the_import(unset_probe):
     count = unset_probe["blas"]
     if count is None:
-        pytest.skip("numpy.libs has no scipy-openblas library exporting "
-                    "scipy_openblas_get_num_threads64_, so the runtime count cannot be read")
+        pytest.skip(NO_COUNT)
+    assert count == 1
+
+
+def test_the_test_process_runs_one_blas_thread():
+    # in-process tests over more than 10,000 elements would otherwise read
+    # core-count-dependent bits, and an idle worker would spin through the suite
+    count = blas_thread_count()
+    if count is None:
+        pytest.skip(NO_COUNT)
     assert count == 1
 
 
