@@ -2,10 +2,10 @@
 core.Learner contract, adding score(x) -> float, the current prediction
 score <state, x> on the vector a step predicts from.
 
-The Perceptron, PA, ROMMA, CW and AROW families and SOP take their steps
-from core; this module supplies the binary hooks: the margin y*s, the update
-direction y*x (DIR_SQ = 1), and adds on w, on SOP's v or on the mean mu.
-ALMA and IELLIP keep their own steps.
+The Perceptron, PA and ROMMA families, SOP and the Sigma kinds (CW, SCW1,
+SCW2, AROW, NAROW, NHERD) take their steps from core; this module supplies
+the binary hooks: the margin y*s, the update direction y*x (DIR_SQ = 1), and
+adds on w, on SOP's v or on the mean mu. ALMA and IELLIP keep their own steps.
 
 The audited state vector (whose per-cycle change is reported in
 delta_sq_norm and whose norm primary_norm() returns) is w for first-order
@@ -18,9 +18,10 @@ import math
 
 import numpy as np
 
-from .core import (PASSIVE_EPS, ArowStep, CWStep, Learner, PAStep, PerceptronStep, RommaStep,
-                   SigmaCycle, SparseVector, dense_add, dimension_error, fired, ogd_tau, pa1_tau,
-                   pa2_tau, passive, scw1_alpha, scw2_alpha, sparse_add)
+from .core import (PASSIVE_EPS, Learner, PAStep, PerceptronStep, RommaStep, SigmaCycle,
+                   SigmaStep, SparseVector, arow_rule, cw_rule, dense_add, dimension_error, fired,
+                   narow_rule, nherd_rule, ogd_tau, pa1_tau, pa2_tau, passive, scw1_rule,
+                   scw2_rule, sparse_add)
 from .errors import ConfigError
 from .params import HyperParams
 
@@ -204,59 +205,40 @@ class SecondOrderLearner(BinaryLearner):
         return 0.0
 
 
-class CW(CWStep, SecondOrderLearner):
+class CW(SigmaStep, SecondOrderLearner):
     """Confidence-weighted learning: fires while y*<mu,x> < phi*sqrt(x^T Sigma x)."""
 
     kind = "CW"
+    sigma_rule = staticmethod(cw_rule)
 
 
 class SCW1(CW):
     """Soft confidence-weighted, variant I: the CW step capped at C."""
 
     kind = "SCW1"
-    alpha_rule = staticmethod(scw1_alpha)
+    sigma_rule = staticmethod(scw1_rule)
 
 
 class SCW2(CW):
     """Soft confidence-weighted, variant II: the CW step damped by a slack term."""
 
     kind = "SCW2"
-    alpha_rule = staticmethod(scw2_alpha)
+    sigma_rule = staticmethod(scw2_rule)
 
 
-class AROW(ArowStep, SecondOrderLearner):
+class AROW(SigmaStep, SecondOrderLearner):
     kind = "AROW"
+    sigma_rule = staticmethod(arow_rule)
 
 
 class NAROW(AROW):
-    """AROW with the adaptive regularizer r_t = chi/(b*chi - 1) whenever
-    b*chi > 1 (chi = x^T Sigma x); otherwise the fixed r is used."""
-
     kind = "NAROW"
-
-    def _r(self, v):
-        b = self.hp.narow_b
-        if b * v > 1.0:
-            return v / (b * v - 1.0)
-        return self.hp.arow_r
+    sigma_rule = staticmethod(narow_rule)
 
 
 class NHERD(AROW):
-    """Gaussian herding (full-matrix projection variant).
-
-    Mean moves like AROW with r = 1/C; the covariance contracts by the
-    factor (C^2 v + 2C)/(1 + Cv)^2 on the (Sigma x) direction, which keeps
-    Sigma positive definite since that factor times v is 1 - 1/(1+Cv)^2 < 1.
-    """
-
     kind = "NHERD"
-
-    def _r(self, v):
-        return 1.0 / self.hp.C
-
-    def _shrink(self, v, beta):
-        C = self.hp.C
-        return (C * C * v + 2.0 * C) / (1.0 + C * v) ** 2
+    sigma_rule = staticmethod(nherd_rule)
 
 
 class IELLIP(SecondOrderLearner):

@@ -1,4 +1,4 @@
-"""Shared domain types, the closed-form update rules, and the five update
+"""Shared domain types, the closed-form update rules, and the four update
 steps both catalogs share.
 
 A multiclass PA, ROMMA, CW or AROW kind, and M_PerceptronM, is its binary
@@ -18,6 +18,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from typing import NamedTuple
@@ -193,8 +194,8 @@ class Learner:
     # Sigma x and return the realized squared change (0.0 unaudited, when
     # _add_dense scales sx, the cycle's scratch, in place); ROMMA's _sq_norm()
     # and _rescale_add(x, y, r, c, g) read ||state||^2 and set
-    # state = c*state + g*direction. The CW and AROW steps also read sigma and
-    # its SigmaCycle _cycle, which they bind before calling _margin.
+    # state = c*state + g*direction. SigmaStep also reads sigma and its
+    # SigmaCycle _cycle, bound before _margin, and a kind's sigma_rule.
     DIR_SQ = 1.0
 
     def __init__(self, d: int, hp: HyperParams):
@@ -296,27 +297,67 @@ def scw2_alpha(m: float, v: float, phi: float, hp: HyperParams) -> float:
     return max(0.0, num / (2.0 * (n * n + n * v * phi2)))
 
 
-def cw_step(alpha_rule, m: float, v: float, phi: float,
-            hp: HyperParams) -> tuple[float, float]:
-    """(alpha, beta) of one CW-family update at margin m and confidence v.
+def cw_step(alpha_of, m: float, v: float, phi: float,
+            hp: HyperParams) -> tuple[float, float] | None:
+    """(alpha, beta) of one CW-family update at margin m and confidence v, or
+    None for a passive cycle.
 
     The update fires when v and the shortfall max(0, phi*sqrt(v) - m) both
-    exceed PASSIVE_EPS and alpha_rule gives a positive alpha; the caller
-    keeps a cycle with alpha 0 passive. A v in [-PASSIVE_EPS, 0) is rounding
-    noise on a direction Sigma has collapsed along, passive like any small v;
-    v is tested before its square root is taken. A NaN or a v below
-    -PASSIVE_EPS can only come from a covariance that is no longer positive
-    definite, so it raises NumericalDegeneracyError.
+    exceed PASSIVE_EPS and alpha_of gives a positive alpha. A v in
+    [-PASSIVE_EPS, 0) is rounding noise on a direction Sigma has collapsed
+    along, passive like any small v; v is tested before its square root is
+    taken. A NaN or a v below -PASSIVE_EPS can only come from a covariance
+    that is no longer positive definite: NumericalDegeneracyError.
     """
     if not v >= -PASSIVE_EPS:
         raise NumericalDegeneracyError(
             f"x^T Sigma x = {v!r}: the covariance lost positive definiteness")
     if v <= PASSIVE_EPS or max(0.0, phi * math.sqrt(v) - m) <= PASSIVE_EPS:
-        return 0.0, 0.0
-    alpha = alpha_rule(m, v, phi, hp)
+        return None
+    alpha = alpha_of(m, v, phi, hp)
+    if alpha <= 0.0:
+        return None
     u = 0.25 * (-alpha * v * phi + math.sqrt(alpha * alpha * v * v * phi * phi + 4.0 * v)) ** 2
     beta = alpha * phi / (math.sqrt(u) + v * alpha * phi)
     return alpha, beta
+
+
+# SigmaStep's rules, one per kind; AROW is Crammer, Kulesza & Dredze, NIPS 2009.
+cw_rule = functools.partial(cw_step, cw_alpha)
+scw1_rule = functools.partial(cw_step, scw1_alpha)
+scw2_rule = functools.partial(cw_step, scw2_alpha)
+
+
+def _arow_coefs(m: float, v: float, r: float) -> tuple[float, float] | None:
+    """(loss * beta, beta) with beta = 1/(v + r); None at no loss or no v."""
+    loss = max(0.0, 1.0 - m)
+    if loss <= PASSIVE_EPS or v <= PASSIVE_EPS:
+        return None
+    beta = 1.0 / (v + r)
+    return loss * beta, beta
+
+
+def arow_rule(m: float, v: float, phi: float, hp: HyperParams) -> tuple[float, float] | None:
+    return _arow_coefs(m, v, hp.arow_r)
+
+
+def narow_rule(m: float, v: float, phi: float, hp: HyperParams) -> tuple[float, float] | None:
+    """AROW with r = v/(b*v - 1) whenever b*v > 1, otherwise arow_r."""
+    b = hp.narow_b
+    return _arow_coefs(m, v, v / (b * v - 1.0) if b * v > 1.0 else hp.arow_r)
+
+
+def nherd_rule(m: float, v: float, phi: float, hp: HyperParams) -> tuple[float, float] | None:
+    """Gaussian herding (full-matrix projection): the mean moves like AROW with
+    r = 1/C; Sigma contracts by (C^2 v + 2C)/(1 + Cv)^2 < 1/v along Sigma x, and
+    a (1 + Cv)^2 past the float range raises NumericalDegeneracyError."""
+    coefs = _arow_coefs(m, v, 1.0 / hp.C)
+    if coefs is None:
+        return None
+    try:
+        return coefs[0], (hp.C * hp.C * v + 2.0 * hp.C) / (1.0 + hp.C * v) ** 2
+    except OverflowError:
+        raise NumericalDegeneracyError(f"(1 + Cv)^2 overflows at Cv = {hp.C * v!r}") from None
 
 
 class SigmaCycle:
@@ -479,12 +520,9 @@ class RommaStep:
         return fired(mis, self._rescale_add(x, y, r, c, g))
 
 
-class CWStep:
-    """Confidence-weighted learning (exact convex closed form), and SCW1/SCW2
-    through alpha_rule: an update fires when the margin falls short of phi
-    standard deviations of the update direction."""
-
-    alpha_rule = staticmethod(cw_alpha)
+class SigmaStep:
+    """The CW, SCW, AROW, NAROW and NHERD cycle: the kind's sigma_rule gives
+    alpha, the mean step along Sigma x, and beta, the downdate, or None."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -497,33 +535,9 @@ class CWStep:
         if x.squared_norm() <= PASSIVE_EPS:
             return passive(mis)
         v = self.DIR_SQ * cycle.sigma_x(x)
-        alpha, beta = cw_step(self.alpha_rule, margin, v, self._phi, self.hp)
-        if alpha <= 0.0:
+        coefs = self.sigma_rule(margin, v, self._phi, self.hp)
+        if coefs is None:
             return passive(mis)
+        alpha, beta = coefs
         cycle.downdate(self.DIR_SQ * beta)
         return fired(mis, self._add_dense(cycle.sx, y, r, alpha))
-
-
-class ArowStep:
-    """Adaptive regularization of weights: hinge-triggered, with beta =
-    1/(v + r), alpha = loss * beta, and Sigma shrunk by _shrink along Sigma x."""
-
-    def _r(self, v: float) -> float:
-        return self.hp.arow_r
-
-    def _shrink(self, v: float, beta: float) -> float:
-        return beta
-
-    def step(self, x, y):
-        cycle = self._cycle
-        cycle.bind(self.sigma, x)
-        mis, margin, r = self._margin(x, y)
-        loss = max(0.0, 1.0 - margin)
-        if loss <= PASSIVE_EPS or x.squared_norm() <= PASSIVE_EPS:
-            return passive(mis)
-        v = self.DIR_SQ * cycle.sigma_x(x)
-        if v <= PASSIVE_EPS:
-            return passive(mis)
-        beta = 1.0 / (v + self._r(v))
-        cycle.downdate(self.DIR_SQ * self._shrink(v, beta))
-        return fired(mis, self._add_dense(cycle.sx, y, r, loss * beta))

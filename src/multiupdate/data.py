@@ -10,13 +10,14 @@ Indices are 1-based in the file and 0-based in memory. Values parse as
 so must each row's squared norm (no NaN/inf values, no squares that
 overflow). Explicit zeros are not stored, but their indices still count
 toward the dimension d. Files whose first two bytes are the gzip magic are
-decompressed transparently.
+decompressed transparently; a truncated or corrupt gzip stream is a DataError.
 """
 from __future__ import annotations
 
 import gzip
 import io
 import math
+import zlib
 from dataclasses import dataclass, replace
 from itertools import chain
 from operator import itemgetter
@@ -96,7 +97,7 @@ def parse_sparse_text(stream: BinaryIO, name: str = "") -> Dataset:
     if head == b"\x1f\x8b":
         try:
             raw = gzip.decompress(raw)
-        except OSError as exc:
+        except (OSError, EOFError, zlib.error) as exc:
             raise DataError(f"{name}: bad gzip stream: {exc}") from None
     try:
         lines = raw.decode("utf-8").splitlines()

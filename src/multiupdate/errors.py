@@ -25,13 +25,13 @@ class NumericalDegeneracyError(RuntimeError):
 
     A second-order learner's matrix (the covariance Sigma, or SOP's
     P = (S + a*I)^-1) raises it before the degenerate update is committed:
-    either the proposed matrix has a non-positive or NaN diagonal entry, or
-    the CW family's x^T Sigma x is NaN or below -PASSIVE_EPS. An
-    x^T Sigma x in [-PASSIVE_EPS, 0) is rounding noise and gives a passive
-    cycle instead. The engine raises it after a run whose learner ends with
-    a state vector (the audited one, or the one a binary kind scores with)
-    that holds a NaN or an infinity: a NaN score never counts as a mistake,
-    so the run's statistics would be meaningless.
+    the proposed matrix has a non-positive or NaN diagonal entry, the CW
+    family's x^T Sigma x is NaN or below -PASSIVE_EPS (one in
+    [-PASSIVE_EPS, 0) is rounding noise: a passive cycle), or NHERD's factor
+    (1 + Cv)^2 overflows. The engine raises it after a run whose learner ends
+    with a state vector (the audited one, or the one a binary kind scores
+    with) that holds a NaN or an infinity: a NaN score never counts as a
+    mistake, so the run's statistics would be meaningless.
     """
 
 

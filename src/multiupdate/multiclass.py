@@ -27,9 +27,9 @@ import operator
 
 import numpy as np
 
-from .core import (ArowStep, CWStep, Learner, PAStep, PerceptronStep, RommaStep, SigmaCycle,
-                   SparseVector, dense_add, dimension_error, ogd_tau, pa1_tau, pa2_tau,
-                   scw1_alpha, scw2_alpha, sparse_add)
+from .core import (Learner, PAStep, PerceptronStep, RommaStep, SigmaCycle, SigmaStep,
+                   SparseVector, arow_rule, cw_rule, dense_add, dimension_error, ogd_tau, pa1_tau,
+                   pa2_tau, scw1_rule, scw2_rule, sparse_add)
 from .errors import ConfigError
 from .params import HyperParams
 
@@ -193,22 +193,24 @@ class _MSecondOrderBase(MulticlassLearner):
         self._cycle = SigmaCycle(self.sigma)
 
 
-class MAROW(ArowStep, _MSecondOrderBase):
+class MAROW(SigmaStep, _MSecondOrderBase):
     kind = "M_AROW"
+    sigma_rule = staticmethod(arow_rule)
 
 
-class MCW(CWStep, _MSecondOrderBase):
+class MCW(SigmaStep, _MSecondOrderBase):
     kind = "M_CW"
+    sigma_rule = staticmethod(cw_rule)
 
 
 class MSCW1(MCW):
     kind = "M_SCW1"
-    alpha_rule = staticmethod(scw1_alpha)
+    sigma_rule = staticmethod(scw1_rule)
 
 
 class MSCW2(MCW):
     kind = "M_SCW2"
-    alpha_rule = staticmethod(scw2_alpha)
+    sigma_rule = staticmethod(scw2_rule)
 
 
 MULTICLASS_KINDS: dict[str, type[MulticlassLearner]] = {

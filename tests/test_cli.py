@@ -427,6 +427,40 @@ class TestExitCodes:
         assert err[0].startswith("error: ROMMA m=1 run=0: the learner state is not finite")
         assert ("instance=11" in err[0]) is bool(audit)
 
+    @pytest.mark.parametrize("audit", [(), ("--audit-theorem1",)], ids=["plain", "audited"])
+    def test_nherd_overflow_exits_4(self, tmp_path, capsys, audit):
+        # on the same file NHERD's (1 + Cv)^2, v = x^T Sigma x, passes the
+        # float range on the first update: a typed error, not a traceback
+        path = tmp_path / "huge-values.txt"
+        path.write_text(instances_to_text(separable_instances(40, 4, seed=1, scale=1e150)))
+        rc = run_cli("--data", str(path), "--algos", "NHERD", "--m", "1", "--runs", "1",
+                     "--format", "csv", *audit)
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: NHERD m=1 run=0: (1 + Cv)^2 overflows at Cv = ")
+
+    @pytest.mark.parametrize("cut", ["truncated", "corrupt"])
+    def test_bad_gzip_exits_2(self, tmp_path, capsys, cut):
+        # gzip.decompress raises EOFError on a truncated stream and
+        # zlib.error on a corrupt deflate payload; both are data errors
+        blob = gzip.compress(instances_to_text(separable_instances(40, 4, seed=1)).encode())
+        if cut == "truncated":
+            blob = blob[:len(blob) // 2]
+        else:
+            blob = blob[:10] + bytes(b ^ 0xFF for b in blob[10:20]) + blob[20:]
+        path = tmp_path / "rows.gz"
+        path.write_bytes(blob)
+        rc = run_cli("--data", str(path), "--algos", "PA1", "--m", "1", "--runs", "1")
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: rows.gz: bad gzip stream: ")
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failed_sweep_keeps_the_report_and_the_streamed_trace(
             self, tmp_path, monkeypatch, capsys, threads, indefinite_m_cw):

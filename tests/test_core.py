@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from multiupdate.core import (PASSIVE_EPS, SigmaCycle, SparseVector, cw_alpha, cw_step,
-                              dense_add, sparse_add)
+from multiupdate.core import (PASSIVE_EPS, SigmaCycle, SparseVector, arow_rule, cw_alpha,
+                              cw_step, dense_add, narow_rule, nherd_rule, sparse_add)
 from multiupdate.data import parse_text
 from multiupdate.errors import NumericalDegeneracyError
 from multiupdate.params import HyperParams
@@ -174,9 +174,36 @@ class TestCwStep:
     @pytest.mark.parametrize("v", [-1.99e-22, -PASSIVE_EPS, -0.0, 0.0])
     def test_rounding_level_confidence_is_passive(self, v):
         # |v| <= PASSIVE_EPS: no step, although the margin -0.5 falls short
-        assert cw_step(cw_alpha, -0.5, v, 1.0, HyperParams()) == (0.0, 0.0)
+        assert cw_step(cw_alpha, -0.5, v, 1.0, HyperParams()) is None
 
     @pytest.mark.parametrize("v", [-2.0 * PASSIVE_EPS, -1.0, float("nan")])
     def test_negative_or_nan_confidence_raises(self, v):
         with pytest.raises(NumericalDegeneracyError, match="positive definiteness"):
             cw_step(cw_alpha, -0.5, v, 1.0, HyperParams())
+
+
+class TestArowFamilyRules:
+    @pytest.mark.parametrize("rule", [arow_rule, narow_rule, nherd_rule])
+    @pytest.mark.parametrize("margin, v", [(1.0, 0.5), (2.0, 0.5), (0.0, PASSIVE_EPS), (0.0, 0.0)])
+    def test_no_loss_or_no_confidence_is_passive(self, rule, margin, v):
+        assert rule(margin, v, 1.0, HyperParams()) is None
+
+    def test_arow_moves_the_mean_by_loss_times_beta(self):
+        beta = 1.0 / (0.25 + 0.5)
+        assert arow_rule(0.5, 0.25, 1.0, HyperParams(arow_r=0.5)) == (0.5 * beta, beta)
+
+    @pytest.mark.parametrize("v, r", [(3.0, 3.0 / (2.0 * 3.0 - 1.0)), (0.25, 0.7)],
+                             ids=["adaptive", "fixed"])
+    def test_narow_regularizer_adapts_only_above_b_v_one(self, v, r):
+        beta = 1.0 / (v + r)
+        assert narow_rule(0.0, v, 1.0, HyperParams(arow_r=0.7, narow_b=2.0)) == (beta, beta)
+
+    def test_nherd_contracts_sigma_by_its_own_factor(self):
+        v, C = 0.5, 2.0
+        beta = 1.0 / (v + 1.0 / C)
+        assert nherd_rule(0.0, v, 1.0, HyperParams(C=C)) == (
+            beta, (C * C * v + 2.0 * C) / (1.0 + C * v) ** 2)
+
+    def test_nherd_factor_past_the_float_range_raises(self):
+        with pytest.raises(NumericalDegeneracyError, match="overflows"):
+            nherd_rule(0.0, 1e300, 1.0, HyperParams())

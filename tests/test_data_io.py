@@ -27,6 +27,8 @@ from multiupdate.data import (
 from multiupdate.errors import DataError
 from multiupdate.rng import permutation
 
+_GZIPPED = gzip.compress(b"+1 1:0.5 2:-1\n-1 2:1.5 3:0.25\n" * 50)
+
 
 class TestParsing:
     def test_basic_binary_file(self):
@@ -142,8 +144,13 @@ class TestParsing:
         assert ds.n == 2
         assert ds.name == "data.gz"
 
-    def test_corrupt_gzip(self):
-        blob = b"\x1f\x8b" + b"garbage follows the magic"
+    @pytest.mark.parametrize("blob", [
+        b"\x1f\x8b" + b"garbage follows the magic",
+        _GZIPPED[:len(_GZIPPED) // 2],
+        _GZIPPED[:10] + bytes(b ^ 0xFF for b in _GZIPPED[10:20]) + _GZIPPED[20:],
+    ], ids=["bad-header", "truncated", "corrupt-deflate"])
+    def test_corrupt_gzip(self, blob):
+        # OSError, EOFError and zlib.error from gzip.decompress respectively
         with pytest.raises(DataError, match="bad gzip"):
             parse_sparse_text(io.BytesIO(blob), name="z")
 

@@ -25,6 +25,19 @@ arithmetic, so the sweep must write the same CSV and trace bytes:
 The sweeps run every kind on the golden stand-ins with the audit and the
 trace on, so the state carried across instances and runs is covered, not
 only one instance.
+
+Three further relations trade m for a hyperparameter, from the closed form
+of one instance's m cycles, and are checked per run on the golden binary
+stand-in, permutations 0-5:
+
+- AROW: after k fired cycles the loss is l*r/(r + k*v) and the confidence
+  r*v/(r + k*v), so an instance with a positive loss fires all m cycles,
+  and they are one AROW step with arow_r / m: the same mistakes, and
+  exactly m times the updates;
+- PA1: a capped cycle lowers the loss by C*||x||^2, so m cycles are one
+  PA1 step with the cap m*C: the same mistakes;
+- PA2: the loss contracts by the same factor on each cycle and the steps
+  sum towards PA's, so PA2 at m = 32 makes PA's mistakes.
 """
 from __future__ import annotations
 
@@ -38,7 +51,10 @@ from conftest import blob_instances, instances_to_text, separable_instances
 from multiupdate.binary import BINARY_KINDS
 from multiupdate.cli import main
 from multiupdate.core import SparseVector
+from multiupdate.engine import LoopConfig, run_sequence
 from multiupdate.multiclass import MULTICLASS_KINDS
+from multiupdate.params import HyperParams
+from multiupdate.rng import permutation
 
 BINARY = separable_instances(80, 8, seed=11, margin=0.02, noise=0.2, scale=0.3)
 MULTICLASS = blob_instances(80, 6, 4, seed=13, spread=1.5)
@@ -146,3 +162,42 @@ def test_shifting_every_feature_index_keeps_the_trace_without_sigma(kind):
     _, shifted = _kind_rows(_shifted(False), kind)
     assert len(shifted) == 3 * 2 * 80     # m values x runs x instances
     assert shifted == _kind_rows(_base(False), kind)[1]
+
+
+HP = HyperParams()
+M_VALUES = [2, 4, 8, 16, 32]
+
+
+def _runs(kind: str, hp: HyperParams, m: int) -> list[tuple[float, int]]:
+    """(mistake rate, updates) of kind on the golden binary stand-in, one per
+    permutation 0-5, unaudited as the benchmark runs it."""
+    d = max(x.max_index for x, _ in BINARY) + 1
+    out = []
+    for seed in range(6):
+        instances = [BINARY[i] for i in permutation(len(BINARY), seed)]
+        _, _, stats = run_sequence(kind, hp, instances, d, LoopConfig(m=m), audit=False)
+        out.append((stats.mistake_rate, int(stats.updates)))
+    return out
+
+
+def _rates(runs: list[tuple[float, int]]) -> list[float]:
+    return [rate for rate, _ in runs]
+
+
+@pytest.mark.parametrize("m", M_VALUES)
+def test_arow_at_m_is_one_step_with_r_over_m(m):
+    one_step = _runs("AROW", HP.replace(arow_r=HP.arow_r / m), 1)
+    assert _runs("AROW", HP, m) == [(rate, m * updates) for rate, updates in one_step]
+
+
+@pytest.mark.parametrize("m", M_VALUES)
+def test_pa1_at_m_makes_the_mistakes_of_pa1_with_cap_m_c(m):
+    capped = _rates(_runs("PA1", HP, m))
+    assert capped == _rates(_runs("PA1", HP.replace(C=HP.C * m), 1))
+    assert capped != _rates(_runs("PA1", HP, 1))   # the cap binds on this data
+
+
+def test_pa2_at_m_32_makes_the_mistakes_of_pa():
+    pa = _rates(_runs("PA", HP, 1))
+    assert _rates(_runs("PA2", HP, 32)) == pa
+    assert _rates(_runs("PA2", HP, 1)) != pa
