@@ -39,14 +39,13 @@ class BinaryLearner(Learner):
 
     Each state base binds _scored once in __init__, like _audited: w for the
     first-order kinds, SOP's w = P v, and the mean mu. Every update writes it
-    in place, so score reads the state step predicts from. _margin is
-    score's check, gather and dot inline, the same bits without the call.
+    in place, so score reads the state step predicts from. _margin is the
+    one place a row is checked against d and scored; score is its margin
+    at y = 1.
     """
 
     def score(self, x: SparseVector) -> float:
-        if x.max_index >= self.d:
-            raise dimension_error(x, self.d)
-        return float(self._scored[x.sel].dot(x.values))
+        return self._margin(x, 1)[1]
 
     def _margin(self, x, y):
         if x.max_index >= self.d:
@@ -181,28 +180,16 @@ class SOP(PerceptronStep, BinaryLearner):
 
 
 class SecondOrderLearner(BinaryLearner):
-    """Gaussian-state family: mean mu plus covariance Sigma, initialized N(0, I).
-
-    A step binds x in its SigmaCycle first, so _margin reads x's bound view
-    of mu, which the binding has already checked against d.
-    """
+    """Gaussian-state family: mean mu plus covariance Sigma, initialized N(0, I)."""
 
     def __init__(self, d, hp):
         super().__init__(d, hp)
         self.mu = self._audited = self._scored = np.zeros(d)
         self.sigma = np.eye(d)
-        self._cycle = SigmaCycle(self.sigma, self.mu)
-
-    def _margin(self, x, y):
-        m = y * float(self._cycle.mean_x.dot(x.values))
-        return m <= 0, m, y
+        self._cycle = SigmaCycle(self.sigma)
 
     def _add_dense(self, sx, y, r, coef):
-        if self.audit:
-            return dense_add(self.mu, sx, coef * y)
-        # sx is the cycle's scratch, so it is scaled in place, allocating nothing
-        np.add(self.mu, np.multiply(sx, coef * y, sx), self.mu)
-        return 0.0
+        return dense_add(self.mu, np.multiply(sx, coef * y, sx), self.audit)
 
 
 class CW(SigmaStep, SecondOrderLearner):
@@ -251,11 +238,11 @@ class IELLIP(SecondOrderLearner):
     kind = "IELLIP"
 
     def step(self, x, y):
-        cycle = self._cycle
-        cycle.bind(self.sigma, x)
         mis, margin, _ = self._margin(x, y)
         if not mis or x.squared_norm() <= PASSIVE_EPS:
             return passive(mis)
+        cycle = self._cycle
+        cycle.bind(self.sigma, x)
         v = cycle.sigma_x(x)
         if v <= PASSIVE_EPS:
             return passive(mis)

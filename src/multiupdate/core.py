@@ -189,13 +189,14 @@ class Learner:
     # _margin returns it and its adds take it (y binary, the top wrong class
     # multiclass, the loser set for M_PerceptronU/S). DIR_SQ is the update
     # direction's squared norm per ||x||^2 (2 for the difference vector);
-    # _margin(x, y) -> (mispredicted, margin, r); _add_x(x, y, r, coef) and
-    # _add_dense(sx, y, r, coef) add coef times the direction built on x or on
-    # Sigma x and return the realized squared change (0.0 unaudited, when
-    # _add_dense scales sx, the cycle's scratch, in place); ROMMA's _sq_norm()
-    # and _rescale_add(x, y, r, c, g) read ||state||^2 and set
-    # state = c*state + g*direction. SigmaStep also reads sigma and its
-    # SigmaCycle _cycle, bound before _margin, and a kind's sigma_rule.
+    # _margin(x, y) -> (mispredicted, margin, r), which checks x against d;
+    # _add_x(x, y, r, coef) and _add_dense(sx, y, r, coef) add coef times the
+    # direction built on x or on Sigma x and return the realized squared
+    # change (0.0 unaudited; _add_dense scales sx, the cycle's scratch, in
+    # place); ROMMA's _sq_norm() and _rescale_add(x, y, r, c, g) read
+    # ||state||^2 and set state = c*state + g*direction. SigmaStep also reads
+    # sigma and its SigmaCycle _cycle, bound after _margin, and a kind's
+    # sigma_rule.
     DIR_SQ = 1.0
 
     def __init__(self, d: int, hp: HyperParams):
@@ -241,11 +242,14 @@ def sparse_add(row: np.ndarray, x: SparseVector, coef: float, audit: bool) -> fl
     return float(np.add.reduce(d * d))
 
 
-def dense_add(row: np.ndarray, v: np.ndarray, coef: float) -> float:
-    """row += coef * v in place; returns the realized squared change. Only an
-    audited add comes here: an unaudited one scales its SigmaCycle's sx in
-    place and adds that, the same sums."""
-    new = row + coef * v
+def dense_add(row: np.ndarray, inc: np.ndarray, audit: bool) -> float:
+    """row += inc in place; returns the realized squared change, or 0.0
+    without computing it when audit is False, as sparse_add does. Each
+    caller passes its SigmaCycle's sx, already scaled in place."""
+    if not audit:
+        np.add(row, inc, row)
+        return 0.0
+    new = row + inc
     d = new - row
     row[...] = new
     return float(np.add.reduce(d * d))
@@ -375,13 +379,13 @@ class SigmaCycle:
     Every cycle on one instance has the same x, and the state is only ever
     updated in place, so bind(sigma, x) takes what depends only on x and the
     matrix once: for a row whose sel is a slice, x's block of rows,
-    transposed, x's slice of sx and, when a mean vector was given, x's slice
-    of it. A learner calls bind at the top of every cycle; it rebinds only
-    when x or the matrix object differs from the bound one (a caller may
-    rebind learner.sigma). It holds strong references, so its `is` checks
-    cannot match a recycled id. A gathered row (sel an index array) would
-    bind copies, so that binding is dropped after the cycle and the next one
-    gathers again.
+    transposed, and x's slice of sx. A learner calls bind in every cycle
+    that reaches Sigma, after its _margin has checked x against d, so bind
+    checks nothing itself; it rebinds only when x or the matrix object
+    differs from the bound one (a caller may rebind learner.sigma). It holds
+    strong references, so its `is` checks cannot match a recycled id. A
+    gathered row (sel an index array) would bind copies, so that binding is
+    dropped after the cycle and the next one gathers again.
 
     The block of rows, transposed, equals sigma[:, x.indices] because Sigma
     stays exactly symmetric (it starts at I, or I/a for SOP, and every
@@ -398,12 +402,11 @@ class SigmaCycle:
     subtracts either to the same bits.
     """
 
-    __slots__ = ("mean", "sx", "col", "row", "outer", "outer_diag", "sigma", "diag", "x",
-                 "rows_t", "sx_x", "mean_x")
+    __slots__ = ("sx", "col", "row", "outer", "outer_diag", "sigma", "diag", "x",
+                 "rows_t", "sx_x")
 
-    def __init__(self, sigma: np.ndarray, mean: np.ndarray | None = None):
+    def __init__(self, sigma: np.ndarray):
         d = len(sigma)
-        self.mean = mean
         self.sx = np.empty(d)
         self.col = self.sx[:, None]
         self.row = self.sx[None, :]
@@ -415,8 +418,6 @@ class SigmaCycle:
         """Bind the views for x on sigma, unless they are bound already."""
         if x is self.x and sigma is self.sigma:
             return
-        if x.max_index >= len(self.sx):
-            raise dimension_error(x, len(self.sx))
         sel = x.sel
         if isinstance(sel, slice):
             self.rows_t = sigma[sel].T
@@ -426,7 +427,6 @@ class SigmaCycle:
             self.rows_t = sigma.take(sel, axis=0).T
             self.sx_x = None
             self.x = None
-        self.mean_x = None if self.mean is None else self.mean[sel]
         self.sigma, self.diag = sigma, sigma.diagonal()
 
     def sigma_x(self, x: SparseVector) -> float:
@@ -529,11 +529,11 @@ class SigmaStep:
         self._phi = inv_norm_cdf(self.hp.cw_eta)
 
     def step(self, x, y):
-        cycle = self._cycle
-        cycle.bind(self.sigma, x)
         mis, margin, r = self._margin(x, y)
         if x.squared_norm() <= PASSIVE_EPS:
             return passive(mis)
+        cycle = self._cycle
+        cycle.bind(self.sigma, x)
         v = self.DIR_SQ * cycle.sigma_x(x)
         coefs = self.sigma_rule(margin, v, self._phi, self.hp)
         if coefs is None:

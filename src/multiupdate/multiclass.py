@@ -86,14 +86,9 @@ class MulticlassLearner(Learner):
         return _two_sided_row_update(self.W, x, y, [r], coef, coef, self.audit)
 
     def _add_dense(self, sx, y, r, coef):
-        wy, wr = self.W[y], self.W[r]
-        if self.audit:
-            return dense_add(wy, sx, coef) + dense_add(wr, sx, -coef)
-        # sx is the cycle's scratch, so it is scaled in place, allocating nothing
-        np.multiply(sx, coef, sx)
-        np.add(wy, sx, wy)
-        np.subtract(wr, sx, wr)
-        return 0.0
+        audit = self.audit
+        return (dense_add(self.W[y], np.multiply(sx, coef, sx), audit)
+                + dense_add(self.W[r], np.negative(sx, sx), audit))
 
     def _sq_norm(self):
         return float(np.sum(self.W * self.W))

@@ -9,7 +9,13 @@ then, so the in-process suite runs the one BLAS thread every CLI process does.
 """
 from __future__ import annotations
 
+import functools
+import hashlib
+import importlib.util
+import io
+import json
 import math
+from pathlib import Path
 
 import multiupdate  # noqa: F401  (before numpy, as the docstring says)
 
@@ -17,8 +23,11 @@ import numpy as np
 import pytest
 
 from multiupdate.core import SparseVector
+from multiupdate.data import Dataset, normalize_labels, parse_sparse_text
 from multiupdate.multiclass import MCW
 from multiupdate.rng import Xoshiro256StarStar
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def gauss_stream(rng: Xoshiro256StarStar):
@@ -118,3 +127,21 @@ def indefinite_m_cw(monkeypatch):
         self.sigma = np.array([[1.0, 10.0], [10.0, 1.0]])
 
     monkeypatch.setattr(MCW, "__init__", indefinite_init)
+
+
+@functools.cache
+def bench_stand_in(workload: str) -> Dataset:
+    """A benchmark workload's stand-in at the default seed: generated by
+    perfbench/synth.py (imported by file path), checked against the SHA-256
+    in perfbench/golden/golden.json and parsed like the file the benchmark
+    writes."""
+    spec = json.loads((PERFBENCH / "workloads.json").read_text())
+    data = spec["workloads"][workload]["data"]
+    assert not data["gzip"]
+    synth_spec = importlib.util.spec_from_file_location("perfbench_synth", PERFBENCH / "synth.py")
+    synth = importlib.util.module_from_spec(synth_spec)
+    synth_spec.loader.exec_module(synth)
+    blob = synth.GENERATORS[data["generator"]](data["n"], spec["default_seed"])
+    golden = json.loads((PERFBENCH / "golden" / "golden.json").read_text())
+    assert hashlib.sha256(blob).hexdigest() == golden[workload]["data_sha256"]
+    return normalize_labels(parse_sparse_text(io.BytesIO(blob), name=workload))

@@ -262,9 +262,15 @@ def test_criterion_6_property_suite_budget():
         files = ["tests/test_rng.py", "tests/test_binary_learners.py",
                  "tests/test_multiclass_learners.py", "tests/test_engine.py"]
         started = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", *files, "-q", "-p", "no:cacheprovider"],
-            cwd=REPO, capture_output=True, text=True)
+        try:
+            # the budget is the timeout too, so a child that loops fails in 60 s
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", *files, "-q", "-p", "no:cacheprovider"],
+                cwd=REPO, capture_output=True, text=True, timeout=60.0)
+        except subprocess.TimeoutExpired:
+            c["status"] = False
+            c["detail"] = "timed out after 60 s"
+            return
         elapsed = time.perf_counter() - started
         tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else "no output"
         c["status"] = proc.returncode == 0 and elapsed < 60.0

@@ -119,8 +119,12 @@ class TestRowAdds:
         ref = row.copy()
         ref += -0.61 * v
         expected = float(np.sum((ref - row) ** 2))
-        assert dense_add(row, v, -0.61) == expected
+        plain = row.copy()
+        assert dense_add(row, -0.61 * v, True) == expected
         assert np.array_equal(row, ref)
+        # unaudited: the same sums, and no measurement
+        assert dense_add(plain, -0.61 * v, False) == 0.0
+        assert plain.tobytes() == ref.tobytes()
 
     def test_sparse_add_on_a_full_prefix_row_matches_reference(self):
         # x.sel is a slice, so the row's old values are a view: the change

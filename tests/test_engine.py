@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multiupdate.binary import BINARY_KINDS, make_binary
-from multiupdate.core import PASSIVE_EPS, SigmaCycle, SparseVector
+from multiupdate.core import PASSIVE_EPS, SparseVector
 from multiupdate.data import parse_text
 from multiupdate.engine import (
     CountingMode,
@@ -27,7 +27,8 @@ from multiupdate.errors import DataError, DimensionMismatchError, NumericalDegen
 from multiupdate.multiclass import MULTICLASS_KINDS, make_multiclass
 from multiupdate.params import HyperParams
 
-from conftest import INDEFINITE_LINES, blob_instances, learner_state, separable_instances
+from conftest import (INDEFINITE_LINES, blob_instances, learner_state, same_state,
+                      separable_instances)
 
 HP = HyperParams()
 
@@ -453,27 +454,34 @@ class TestCycleLoop:
                          audit=audit)
 
     def test_every_dimension_check_raises_one_message(self):
-        # the binary score and margin, the multiclass scores and the Sigma
-        # cycle's bind each check the row; all four raise the same error
+        # the binary margin, which score reads, and the multiclass scores are
+        # the two checks of a row; all three calls raise the same error
         x = SparseVector([1, 3], [0.5, -0.5])
         binary = make_binary("PA", 3, HP)
         multiclass = make_multiclass("M_PA", 3, 3, HP)
-        cycle = SigmaCycle(np.eye(3))
         for check in (lambda: binary.score(x), lambda: binary._margin(x, 1),
-                      lambda: multiclass.scores(x), lambda: cycle.bind(cycle.sigma, x)):
+                      lambda: multiclass.scores(x)):
             with pytest.raises(DimensionMismatchError) as raised:
                 check()
             assert str(raised.value) == "feature index 3 out of range for dimension 3"
 
-    @pytest.mark.parametrize("kind", ["Perceptron", "PA", "PA1", "PA2", "OGD", "ALMA",
-                                      "ROMMA", "aROMMA"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_direct_first_order_step_checks_the_dimension(self, kind):
-        learner = make_binary(kind, 3, HP)
+        # every kind, first-order or not, checks a row past d before its state
+        # changes: a Sigma step scores (and checks) before it binds Sigma
+        instances, d, num_classes = _kind_instances(kind)
+        learner = (make_multiclass(kind, num_classes, d, HP) if num_classes
+                   else make_binary(kind, d, HP))
+        for x, y in instances[:6]:
+            learner.begin_instance()
+            learner.step(x, y)
         learner.begin_instance()
-        for x in (SparseVector([0, 1, 2, 3], [1.0] * 4), SparseVector([1, 3], [1.0, 1.0])):
-            with pytest.raises(DimensionMismatchError, match="feature index 3 out of range"):
-                learner.step(x, 1)
-        assert not learner.w.any()
+        before = learner_state(learner)
+        for x in (SparseVector(np.arange(d + 1), np.ones(d + 1)), SparseVector([1, d], [1.0, 1.0])):
+            assert isinstance(x.sel, slice) == (x.indices.size == d + 1)
+            with pytest.raises(DimensionMismatchError, match=f"feature index {d} out of range"):
+                learner.step(x, instances[0][1])
+        assert same_state(learner_state(learner), before)
 
 
 class TestNormBound:

@@ -67,8 +67,6 @@ def test_score_and_margin_match_matmul(kind, d, audit):
         assert x.squared_norm() == float(x.values @ x.values)
         s = learner.score(x)
         assert s == float(state[x.indices] @ x.values)
-        if hasattr(learner, "sigma"):
-            learner._cycle.bind(learner.sigma, x)     # a Sigma step binds before its margin
         for y in (-1, 1):
             assert learner._margin(x, y) == (y * s <= 0, y * s, y)
         learner.begin_instance()
@@ -180,7 +178,6 @@ def test_a_rebound_sigma_is_picked_up(kind, d):
     learner.begin_instance()
     assert learner.step(x, 0 if kind.startswith("M_") else -1).triggered
     ref = sigma[:, x.indices] @ x.values
-    assert np.array_equal(learner._cycle.sx, ref)        # audited: the mean add keeps sx
     dir_sq = learner.DIR_SQ
     v = dir_sq * float(ref[x.indices] @ x.values)
     beta = 1.0 / (v + learner.hp.arow_r)

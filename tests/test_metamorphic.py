@@ -27,15 +27,17 @@ trace on, so the state carried across instances and runs is covered, not
 only one instance.
 
 Three further relations trade m for a hyperparameter, from the closed form
-of one instance's m cycles, and are checked per run on the golden binary
-stand-in, permutations 0-5:
+of one instance's m cycles, and are checked per run, permutations 0-5, on
+the golden binary stand-in and on the binary-sweep benchmark workload's
+(perfbench/synth.py's svmguide3_like, 600 noisy dense rows in d = 21):
 
 - AROW: after k fired cycles the loss is l*r/(r + k*v) and the confidence
   r*v/(r + k*v), so an instance with a positive loss fires all m cycles,
   and they are one AROW step with arow_r / m: the same mistakes, and
   exactly m times the updates;
 - PA1: a capped cycle lowers the loss by C*||x||^2, so m cycles are one
-  PA1 step with the cap m*C: the same mistakes;
+  PA1 step with the cap m*C: the same mistakes. On binary-sweep's stand-in
+  the default cap C = 1 never binds, so the relation runs there at C = 0.1;
 - PA2: the loss contracts by the same factor on each cycle and the steps
   sum towards PA's, so PA2 at m = 32 makes PA's mistakes.
 """
@@ -47,7 +49,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import blob_instances, instances_to_text, separable_instances
+from conftest import bench_stand_in, blob_instances, instances_to_text, separable_instances
 from multiupdate.binary import BINARY_KINDS
 from multiupdate.cli import main
 from multiupdate.core import SparseVector
@@ -166,16 +168,36 @@ def test_shifting_every_feature_index_keeps_the_trace_without_sigma(kind):
 
 HP = HyperParams()
 M_VALUES = [2, 4, 8, 16, 32]
+STAND_INS = ("golden", "binary-sweep")
+# PA1's cap: at the default C = 1 it never binds on binary-sweep's stand-in,
+# where PA1 at every m equals PA1 at m = 1, so the relation would be vacuous
+PA1_C = {"golden": HP.C, "binary-sweep": 0.1}
 
 
-def _runs(kind: str, hp: HyperParams, m: int) -> list[tuple[float, int]]:
-    """(mistake rate, updates) of kind on the golden binary stand-in, one per
+def _per_stand_in(values) -> list:
+    """(stand-in, value) cases; the golden stand-in's keep their bare ids."""
+    return [pytest.param(name, v, id=str(v) if name == "golden" else f"{name}-{v}")
+            for name in STAND_INS for v in values]
+
+
+@functools.cache
+def _stand_in(name: str) -> tuple[list, int]:
+    """(instances, d) of the golden binary stand-in or of the binary-sweep
+    benchmark workload's."""
+    if name == "golden":
+        return BINARY, max(x.max_index for x, _ in BINARY) + 1
+    data = bench_stand_in(name)
+    return list(data.instances), data.d
+
+
+def _runs(stand_in: str, kind: str, hp: HyperParams, m: int) -> list[tuple[float, int]]:
+    """(mistake rate, updates) of kind on a binary stand-in, one per
     permutation 0-5, unaudited as the benchmark runs it."""
-    d = max(x.max_index for x, _ in BINARY) + 1
+    instances, d = _stand_in(stand_in)
     out = []
     for seed in range(6):
-        instances = [BINARY[i] for i in permutation(len(BINARY), seed)]
-        _, _, stats = run_sequence(kind, hp, instances, d, LoopConfig(m=m), audit=False)
+        permuted = [instances[i] for i in permutation(len(instances), seed)]
+        _, _, stats = run_sequence(kind, hp, permuted, d, LoopConfig(m=m), audit=False)
         out.append((stats.mistake_rate, int(stats.updates)))
     return out
 
@@ -184,20 +206,27 @@ def _rates(runs: list[tuple[float, int]]) -> list[float]:
     return [rate for rate, _ in runs]
 
 
-@pytest.mark.parametrize("m", M_VALUES)
-def test_arow_at_m_is_one_step_with_r_over_m(m):
-    one_step = _runs("AROW", HP.replace(arow_r=HP.arow_r / m), 1)
-    assert _runs("AROW", HP, m) == [(rate, m * updates) for rate, updates in one_step]
+@pytest.mark.parametrize("stand_in, m", _per_stand_in(M_VALUES))
+def test_arow_at_m_is_one_step_with_r_over_m(stand_in, m):
+    one_step = _runs(stand_in, "AROW", HP.replace(arow_r=HP.arow_r / m), 1)
+    assert _runs(stand_in, "AROW", HP, m) == [(rate, m * updates) for rate, updates in one_step]
 
 
-@pytest.mark.parametrize("m", M_VALUES)
-def test_pa1_at_m_makes_the_mistakes_of_pa1_with_cap_m_c(m):
-    capped = _rates(_runs("PA1", HP, m))
-    assert capped == _rates(_runs("PA1", HP.replace(C=HP.C * m), 1))
-    assert capped != _rates(_runs("PA1", HP, 1))   # the cap binds on this data
+def test_arow_at_m_32_keeps_its_binary_sweep_counts():
+    # permutation 0: every instance with a loss fires all 32 cycles
+    assert _runs("binary-sweep", "AROW", HP, 32)[0] == (226 / 600, 32 * 574)
+
+
+@pytest.mark.parametrize("stand_in, m", _per_stand_in(M_VALUES))
+def test_pa1_at_m_makes_the_mistakes_of_pa1_with_cap_m_c(stand_in, m):
+    hp = HP.replace(C=PA1_C[stand_in])
+    capped = _rates(_runs(stand_in, "PA1", hp, m))
+    assert capped == _rates(_runs(stand_in, "PA1", hp.replace(C=hp.C * m), 1))
+    assert capped != _rates(_runs(stand_in, "PA1", hp, 1))   # the cap binds on this data
 
 
 def test_pa2_at_m_32_makes_the_mistakes_of_pa():
-    pa = _rates(_runs("PA", HP, 1))
-    assert _rates(_runs("PA2", HP, 32)) == pa
-    assert _rates(_runs("PA2", HP, 1)) != pa
+    for stand_in in STAND_INS:
+        pa = _rates(_runs(stand_in, "PA", HP, 1))
+        assert _rates(_runs(stand_in, "PA2", HP, 32)) == pa
+        assert _rates(_runs(stand_in, "PA2", HP, 1)) != pa

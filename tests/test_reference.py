@@ -40,6 +40,14 @@ y and r move by +/- alpha * Sigma x and the rank-1 decrement is doubled.
 M_CW, M_SCW1 and M_AROW agree in every case; M_SCW2 takes one or two more
 updates in floats at m = 32, with the same mistakes.
 
+The same four also run on the multiclass-audit benchmark workload's
+segment-like stand-in, generated by perfbench/synth.py and checked against
+its golden SHA-256. There every kind agrees at m = 1, M_SCW2 at m = 4 and
+M_AROW at m = 1 and 4, and the mistakes agree everywhere. M_CW and M_SCW1
+(identical numbers) take 5-9 more updates in floats at m = 4 and 16, M_SCW2
+11-15 more at m = 16: floats re-fire on residuals where the reference
+settles (227 updates at m = 4 on permutation 0, against 235).
+
 SOP runs on the golden binary stand-in as w = P v, with P_0 = I/a exact and
 the Sherman-Morrison step on each mistake. Its counts agree in all six cases
 (m = 1, 4 and 32, permutations 0 and 1).
@@ -51,7 +59,7 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import blob_instances, instances_to_text, separable_instances
+from conftest import bench_stand_in, blob_instances, instances_to_text, separable_instances
 from multiupdate.core import PASSIVE_EPS, ROMMA_EPS, SparseVector
 from multiupdate.data import normalize_labels, parse_text
 from multiupdate.engine import LoopConfig, run_sequence
@@ -399,6 +407,38 @@ MULTI_SIGMA_GAPS = {
     for case in MULTI_SIGMA_CASES])
 def test_multiclass_sigma_float_counts_equal_the_60_digit_reference(kind, m, seed):
     data = GOLDEN_MULTICLASS
+    instances = [data.instances[i] for i in permutation(len(data.instances), seed)]
+    assert (float_run(kind, instances, data.d, m, data.num_classes)
+            == reference_sigma_run(kind, instances, data.d, m, data.num_classes))
+
+
+# The Sigma slice on the multiclass-audit workload's segment-like stand-in
+# (300 rows, 7 overlapping classes, d = 19). M_AROW stops at m = 4: one case
+# at m = 16 takes about 2 s.
+SEGMENT_CASES = ([(kind, m, seed) for kind in ("M_CW", "M_SCW1", "M_SCW2")
+                  for m in (1, 4, 16) for seed in (0, 1)]
+                 + [("M_AROW", m, seed) for m in (1, 4) for seed in (0, 1)])
+SEGMENT_GAPS = {
+    ("M_CW", 4, 0): ((227, 29), (235, 29)),
+    ("M_CW", 4, 1): ((225, 30), (230, 30)),
+    ("M_CW", 16, 0): ((238, 29), (245, 29)),
+    ("M_CW", 16, 1): ((228, 30), (237, 30)),
+    ("M_SCW1", 4, 0): ((227, 29), (235, 29)),
+    ("M_SCW1", 4, 1): ((225, 30), (230, 30)),
+    ("M_SCW1", 16, 0): ((238, 29), (245, 29)),
+    ("M_SCW1", 16, 1): ((228, 30), (237, 30)),
+    ("M_SCW2", 16, 0): ((1350, 28), (1365, 28)),
+    ("M_SCW2", 16, 1): ((1404, 30), (1415, 30)),
+}
+
+
+@pytest.mark.parametrize("kind, m, seed", [
+    pytest.param(*case, marks=pytest.mark.xfail(
+        strict=True, reason="reference (updates, mistakes) %s against floats %s"
+        % SEGMENT_GAPS[case])) if case in SEGMENT_GAPS else case
+    for case in SEGMENT_CASES])
+def test_multiclass_sigma_counts_on_the_segment_like_stand_in(kind, m, seed):
+    data = bench_stand_in("multiclass-audit")
     instances = [data.instances[i] for i in permutation(len(data.instances), seed)]
     assert (float_run(kind, instances, data.d, m, data.num_classes)
             == reference_sigma_run(kind, instances, data.d, m, data.num_classes))
