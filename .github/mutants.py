@@ -81,6 +81,12 @@ MUTANTS = [
     ("dense_add's unaudited branch skips the add", CORE,
      "        np.add(row, inc, row)\n        return 0.0\n",
      "        return 0.0\n"),
+    ("sigma_x keeps a gathered row's copies for the next cycle", CORE,
+     "                self.sx_x = None\n                self.x = None\n",
+     "                self.sx_x = None\n                self.x = x\n"),
+    ("sigma_x binds only the first row it sees", CORE,
+     "if x is not self.x:",
+     "if self.x is None:"),
 ]
 
 # (name, file, old text, new text, why no test can kill it)

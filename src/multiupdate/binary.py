@@ -172,7 +172,6 @@ class SOP(PerceptronStep, BinaryLearner):
 
     def _add_x(self, x, y, r, coef):
         cycle = self._cycle
-        cycle.bind(self._P, x)
         cycle.downdate(1.0 / (1.0 + cycle.sigma_x(x)))
         dsq = sparse_add(self.v, x, coef * y, self.audit)
         self._P.dot(self.v, out=self._w)
@@ -242,7 +241,6 @@ class IELLIP(SecondOrderLearner):
         if not mis or x.squared_norm() <= PASSIVE_EPS:
             return passive(mis)
         cycle = self._cycle
-        cycle.bind(self.sigma, x)
         v = cycle.sigma_x(x)
         if v <= PASSIVE_EPS:
             return passive(mis)

@@ -195,8 +195,8 @@ class Learner:
     # change (0.0 unaudited; _add_dense scales sx, the cycle's scratch, in
     # place); ROMMA's _sq_norm() and _rescale_add(x, y, r, c, g) read
     # ||state||^2 and set state = c*state + g*direction. SigmaStep also reads
-    # sigma and its SigmaCycle _cycle, bound after _margin, and a kind's
-    # sigma_rule.
+    # a kind's sigma_rule and its SigmaCycle _cycle, built once on sigma,
+    # whose sigma_x it calls after _margin.
     DIR_SQ = 1.0
 
     def __init__(self, d: int, hp: HyperParams):
@@ -376,16 +376,16 @@ class SigmaCycle:
     downdate, one rank-1 update behind one positive-definiteness guard;
     IELLIP then scales Sigma as a whole.
 
-    Every cycle on one instance has the same x, and the state is only ever
-    updated in place, so bind(sigma, x) takes what depends only on x and the
-    matrix once: for a row whose sel is a slice, x's block of rows,
-    transposed, and x's slice of sx. A learner calls bind in every cycle
-    that reaches Sigma, after its _margin has checked x against d, so bind
-    checks nothing itself; it rebinds only when x or the matrix object
-    differs from the bound one (a caller may rebind learner.sigma). It holds
-    strong references, so its `is` checks cannot match a recycled id. A
-    gathered row (sel an index array) would bind copies, so that binding is
-    dropped after the cycle and the next one gathers again.
+    The cycle keeps the matrix it was built with for the learner's whole
+    life, and that matrix, like every other piece of learner state, is only
+    ever written in place. Every cycle on one instance has the same x, so
+    sigma_x(x) binds what depends only on x once: for a row whose sel is a
+    slice, x's block of rows, transposed, and x's slice of sx. It rebinds
+    only when x is not the bound row, and holds a strong reference to it, so
+    its `is` check cannot match a recycled id. A gathered row (sel an index
+    array) binds copies, so that binding is dropped after the cycle and the
+    next one gathers again. A learner calls sigma_x after its _margin has
+    checked x against d, so sigma_x checks nothing itself.
 
     The block of rows, transposed, equals sigma[:, x.indices] because Sigma
     stays exactly symmetric (it starts at I, or I/a for SOP, and every
@@ -414,23 +414,18 @@ class SigmaCycle:
         self.outer_diag = self.outer.diagonal()
         self.sigma, self.diag, self.x = sigma, sigma.diagonal(), None
 
-    def bind(self, sigma: np.ndarray, x: SparseVector) -> None:
-        """Bind the views for x on sigma, unless they are bound already."""
-        if x is self.x and sigma is self.sigma:
-            return
-        sel = x.sel
-        if isinstance(sel, slice):
-            self.rows_t = sigma[sel].T
-            self.sx_x = self.sx[sel]
-            self.x = x
-        else:
-            self.rows_t = sigma.take(sel, axis=0).T
-            self.sx_x = None
-            self.x = None
-        self.sigma, self.diag = sigma, sigma.diagonal()
-
     def sigma_x(self, x: SparseVector) -> float:
-        """x^T Sigma x for the bound x, leaving Sigma x in sx."""
+        """x^T Sigma x, leaving Sigma x in sx; binds x first unless it is bound."""
+        if x is not self.x:
+            sel = x.sel
+            if isinstance(sel, slice):
+                self.rows_t = self.sigma[sel].T
+                self.sx_x = self.sx[sel]
+                self.x = x
+            else:
+                self.rows_t = self.sigma.take(sel, axis=0).T
+                self.sx_x = None
+                self.x = None
         self.rows_t.dot(x.values, out=self.sx)
         sx_x = self.sx_x
         if sx_x is None:
@@ -533,7 +528,6 @@ class SigmaStep:
         if x.squared_norm() <= PASSIVE_EPS:
             return passive(mis)
         cycle = self._cycle
-        cycle.bind(self.sigma, x)
         v = self.DIR_SQ * cycle.sigma_x(x)
         coefs = self.sigma_rule(margin, v, self._phi, self.hp)
         if coefs is None:

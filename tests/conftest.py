@@ -124,7 +124,7 @@ def indefinite_m_cw(monkeypatch):
 
     def indefinite_init(self, num_classes, d, hp):
         init(self, num_classes, d, hp)
-        self.sigma = np.array([[1.0, 10.0], [10.0, 1.0]])
+        self.sigma[...] = [[1.0, 10.0], [10.0, 1.0]]
 
     monkeypatch.setattr(MCW, "__init__", indefinite_init)
 

@@ -355,7 +355,7 @@ class TestProperties:
         learner, steps = drive(kind, _noisy_stream(5000, d), d, hp=hp)
         assert sum(info.triggered for _, info, _ in steps) >= 1000
         sig = learner.sigma
-        # exact, not approximate: SigmaCycle.bind reads rows in place of columns
+        # exact, not approximate: SigmaCycle.sigma_x reads rows in place of columns
         assert np.array_equal(sig, sig.T)
         np.linalg.cholesky(sig)  # raises LinAlgError if not positive definite
 

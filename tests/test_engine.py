@@ -320,7 +320,7 @@ class TestRunSequence:
         multiclass = kind.startswith("M_")
         learner = (make_multiclass(kind, 3, 2, HP) if multiclass
                    else make_binary(kind, 2, HP))
-        learner.sigma = np.array([[1.0, 2.0], [2.0, 1.0]])
+        learner.sigma[...] = [[1.0, 2.0], [2.0, 1.0]]
         with pytest.raises(NumericalDegeneracyError, match="positive definiteness"):
             process_instance(learner, vec((1, 1.0), (2, -1.0)), 1, LoopConfig(m=2))
 
@@ -333,7 +333,7 @@ class TestRunSequence:
         multiclass = kind.startswith("M_")
         learner = (make_multiclass(kind, 3, 2, HP) if multiclass
                    else make_binary(kind, 2, HP))
-        learner.sigma = np.array([[1.0, 10.0], [10.0, 1.0]])
+        learner.sigma[...] = [[1.0, 10.0], [10.0, 1.0]]
         mean = learner.W if multiclass else learner.mu
         sigma_before, mean_before = learner.sigma.tobytes(), mean.tobytes()
         learner.begin_instance()

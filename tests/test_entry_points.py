@@ -88,7 +88,6 @@ def test_sigma_x_matches_matmul(d):
     sigma = _symmetric(d, d)
     for x in _rows(d, d + 2):
         cycle = SigmaCycle(sigma)
-        cycle.bind(sigma, x)
         v = cycle.sigma_x(x)
         ref = sigma[:, x.indices] @ x.values
         assert np.array_equal(cycle.sx, ref)
@@ -101,7 +100,6 @@ def test_downdate_matches_outer_product(d):
     sigma = _symmetric(d, d + 3)
     for x in _rows(d, d + 4):
         cycle = SigmaCycle(sigma)
-        cycle.bind(sigma, x)
         v = cycle.sigma_x(x)
         coef = 0.5 / (1.0 + v)
         ref = sigma - coef * np.multiply.outer(cycle.sx, cycle.sx)
@@ -127,7 +125,6 @@ def test_downdate_keeps_the_elementwise_bits_on_signed_zeros(d):
         ref = sigma.copy()
         cycle = SigmaCycle(sigma)
         for x in (a, b):
-            cycle.bind(sigma, x)
             v = cycle.sigma_x(x)
             sx = cycle.sx.copy()
             assert (sx == 0.0).any() and (sx < 0.0).any()
@@ -152,7 +149,6 @@ def test_bound_cycles_match_the_plain_forms_across_repeats(d):
     if gathered:
         order += [gathered[0]] * 2 + [full[0], gathered[1], gathered[0]]
     for x in order:
-        cycle.bind(sigma, x)
         ref = sigma[:, x.indices] @ x.values
         v = cycle.sigma_x(x)
         assert np.array_equal(cycle.sx, ref)
@@ -163,25 +159,48 @@ def test_bound_cycles_match_the_plain_forms_across_repeats(d):
         assert np.array_equal(sigma, ref_sigma)
 
 
-@pytest.mark.parametrize("d", DIMS)
-@pytest.mark.parametrize("kind", ["AROW", "M_AROW"])
-def test_a_rebound_sigma_is_picked_up(kind, d):
-    # the binding is keyed on the Sigma object too, so a step after
-    # learner.sigma is replaced reads the new matrix, not the bound views
-    learner = (make_multiclass(kind, K, d, HyperParams()) if kind.startswith("M_")
-               else make_binary(kind, d, HyperParams()))
-    x = _rows(d, d + 12)[0]
-    learner.begin_instance()
-    assert learner.step(x, 1).triggered
-    learner.sigma = _symmetric(d, d + 13)
-    sigma = learner.sigma.copy()
-    learner.begin_instance()
-    assert learner.step(x, 0 if kind.startswith("M_") else -1).triggered
-    ref = sigma[:, x.indices] @ x.values
-    dir_sq = learner.DIR_SQ
-    v = dir_sq * float(ref[x.indices] @ x.values)
-    beta = 1.0 / (v + learner.hp.arow_r)
-    assert np.array_equal(learner.sigma, sigma - dir_sq * beta * np.multiply.outer(ref, ref))
+MATRIX_KINDS = ["CW", "SCW1", "SCW2", "AROW", "NAROW", "NHERD", "IELLIP", "SOP",
+                "M_CW", "M_SCW1", "M_SCW2", "M_AROW"]
+
+
+@pytest.mark.parametrize("d", DIMS[1:])
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+def test_a_matrix_written_in_place_is_read_by_the_next_cycle(kind, d, monkeypatch):
+    # Sigma (SOP's P) changes only in place, and the cycle keeps a slice
+    # row's views of it while the row stays the same; a gathered row's copies
+    # must not outlive their cycle. So a fresh matrix written in place between
+    # two instances, or between two cycles of one instance, is what the next
+    # cycle reads. A zero mean makes that cycle a mistake, so it reaches Sigma.
+    sigma_x = SigmaCycle.sigma_x
+    seen = []
+
+    def spy(cycle, x):
+        v = sigma_x(cycle, x)
+        seen.append((cycle.sx.copy(), v))
+        return v
+
+    monkeypatch.setattr(SigmaCycle, "sigma_x", spy)
+    rows = _rows(d, d + 12)
+    for x in (rows[0], rows[-1]):       # a slice row, then a gathered one
+        for next_instance in (True, False):
+            learner = (make_multiclass(kind, K, d, HyperParams()) if kind.startswith("M_")
+                       else make_binary(kind, d, HyperParams()))
+            learner.begin_instance()
+            learner.step(x, 1)
+            assert seen
+            new = _symmetric(d, d + 13)
+            (learner._P if isinstance(learner, SOP) else learner.sigma)[...] = new
+            for name in ("mu", "v", "_w", "W"):
+                if hasattr(learner, name):
+                    getattr(learner, name)[...] = 0.0
+            if next_instance:
+                learner.begin_instance()
+            seen.clear()
+            learner.step(x, 1)
+            ref = new[:, x.indices] @ x.values
+            assert len(seen) == 1
+            assert np.array_equal(seen[0][0], ref)
+            assert seen[0][1] == float(ref[x.indices] @ x.values)
 
 
 @pytest.mark.parametrize("sx", [[np.nan, 2.0, 0.5], [0.5, 0.1, np.nan]])

@@ -311,7 +311,7 @@ class TestInvariants:
                 updates += 1
         assert updates > 0
         sig = learner.sigma
-        # exact, not approximate: SigmaCycle.bind reads rows in place of columns
+        # exact, not approximate: SigmaCycle.sigma_x reads rows in place of columns
         assert np.array_equal(sig, sig.T)
         np.linalg.cholesky(sig)
 

@@ -1,6 +1,6 @@
 """A 60-digit reference for what m repeated cycles do.
 
-The reference runs Perceptron, PA, PA1, PA2, ROMMA and aROMMA, the Sigma
+The reference runs Perceptron, PA, PA1, PA2, OGD, ROMMA and aROMMA, the Sigma
 kinds CW, SCW1, SCW2, AROW, NAROW and NHERD, and SOP, in plain Python decimal
 arithmetic at 60 significant digits, with no numpy: every input float is
 converted exactly with Decimal(float), square roots are Decimal.sqrt, and
@@ -26,12 +26,14 @@ moves the first-prediction mistakes as well as the updates. Each gap
 measured here is an expected failure that records both counts.
 
 The first-order multiclass kinds (the M_Perceptron M, U and S triple, M_PA,
-M_PA1, M_PA2, M_ROMMA and M_aROMMA) run the same way on the golden
+M_PA1, M_PA2, M_OGD, M_ROMMA and M_aROMMA) run the same way on the golden
 multiclass stand-in: K score rows, argmax ties to the lowest index, the
 runner-up r over c != y, the difference vector's DIR_SQ = 2 and U's and S's
 exact 1/|E| split of the -x mass. Their gaps mirror the binary ones: M_PA2
 stops two cycles early on permutation 1 at m = 32, and M_aROMMA re-fires on
-its float residual at m = 4 and 32.
+its float residual at m = 4 and 32. OGD and M_OGD, whose step eta0 / sqrt(t)
+reads the 1-based instance index t of the run, agree in all twelve cases
+(m = 1, 4 and 32, permutations 0 and 1, each label space).
 
 The multiclass Sigma kinds M_CW, M_SCW1, M_SCW2 and M_AROW run on the same
 stand-in through the binary Sigma steps, with K mean rows and one shared
@@ -73,10 +75,14 @@ GOLDEN_BINARY = normalize_labels(parse_text(instances_to_text(
 
 ZERO, ONE = Decimal(0), Decimal(1)
 EPS, R_EPS, C = Decimal(PASSIVE_EPS), Decimal(ROMMA_EPS), Decimal(HP.C)
+ETA0 = Decimal(HP.eta0)
+# the step of the PA family and OGD from the hinge loss, the direction's
+# squared norm and the 1-based instance index t of the run
 PA_TAU = {
-    "PA": lambda loss, xsq: loss / xsq,
-    "PA1": lambda loss, xsq: min(C, loss / xsq),
-    "PA2": lambda loss, xsq: loss / (xsq + ONE / (2 * C)),
+    "PA": lambda loss, xsq, t: loss / xsq,
+    "PA1": lambda loss, xsq, t: min(C, loss / xsq),
+    "PA2": lambda loss, xsq, t: loss / (xsq + ONE / (2 * C)),
+    "OGD": lambda loss, xsq, t: ETA0 / Decimal(t).sqrt(),
 }
 
 
@@ -85,7 +91,7 @@ def _dot(a: list[Decimal], b: list[Decimal]) -> Decimal:
 
 
 def _cycle(kind: str, w: list[Decimal], x: list[Decimal], y: int,
-           xsq: Decimal) -> tuple[bool, bool]:
+           xsq: Decimal, t: int) -> tuple[bool, bool]:
     """One predict/maybe-update cycle on w in place: (fired, mispredicted)."""
     margin = y * _dot(w, x)
     mistake = margin <= 0
@@ -96,7 +102,7 @@ def _cycle(kind: str, w: list[Decimal], x: list[Decimal], y: int,
         return False, mistake
     c = g = ONE                                  # w' = c*w + g*y*x
     if kind in PA_TAU:
-        g = PA_TAU[kind](ONE - margin, xsq)
+        g = PA_TAU[kind](ONE - margin, xsq, t)
     elif kind != "Perceptron":                   # ROMMA's step unless it degenerates
         wsq = _dot(w, w)
         den = xsq * wsq - margin * margin
@@ -116,13 +122,13 @@ def reference_run(kind: str, instances, d: int, m: int,
             state, cycle = [ZERO] * d, _cycle
         else:
             state, cycle = [[ZERO] * d for _ in range(num_classes)], _multi_cycle
-        for x, y in instances:
+        for t, (x, y) in enumerate(instances, 1):
             dense = [ZERO] * d
             for i, v in x.pairs():
                 dense[i] = Decimal(v)
             xsq = _dot(dense, dense)
             for k in range(m):
-                fired, mistake = cycle(kind, state, dense, y, xsq)
+                fired, mistake = cycle(kind, state, dense, y, xsq, t)
                 if k == 0:
                     mistakes += mistake
                 if not fired:
@@ -337,7 +343,7 @@ def _argmax(scores: list[Decimal], skip: int | None = None) -> int:
 
 
 def _multi_cycle(kind: str, W: list[list[Decimal]], x: list[Decimal], y: int,
-                 xsq: Decimal) -> tuple[bool, bool]:
+                 xsq: Decimal, t: int) -> tuple[bool, bool]:
     """One multiclass cycle on the K score rows W in place: (fired, mispredicted)."""
     s = [_dot(row, x) for row in W]
     r = _argmax(s, skip=y)
@@ -355,7 +361,7 @@ def _multi_cycle(kind: str, W: list[list[Decimal]], x: list[Decimal], y: int,
     if kind in AHEAD:
         losers = [k for k in range(len(W)) if k != y and AHEAD[kind](s[k], s[y])] or [r]
     elif kind[2:] in PA_TAU:
-        g = PA_TAU[kind[2:]](ONE - margin, DIR_SQ * xsq)
+        g = PA_TAU[kind[2:]](ONE - margin, DIR_SQ * xsq, t)
     elif kind != "M_PerceptronM":        # ROMMA's step unless it degenerates
         wsq = sum((_dot(row, row) for row in W), ZERO)
         den = DIR_SQ * xsq * wsq - margin * margin
@@ -369,7 +375,7 @@ def _multi_cycle(kind: str, W: list[list[Decimal]], x: list[Decimal], y: int,
 
 
 MULTI_KINDS = ("M_PerceptronM", "M_PerceptronU", "M_PerceptronS", "M_PA", "M_PA1", "M_PA2",
-               "M_ROMMA", "M_aROMMA")
+               "M_OGD", "M_ROMMA", "M_aROMMA")
 MULTI_CASES = [(kind, m, seed) for kind in MULTI_KINDS for m in (1, 4, 32) for seed in (0, 1)]
 MULTI_GAPS = {
     ("M_PA2", 32, 1): ((507, 21), (505, 21)),
