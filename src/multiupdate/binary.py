@@ -5,7 +5,8 @@ score <state, x> on the vector a step predicts from.
 The Perceptron, PA and ROMMA families, SOP and the Sigma kinds (CW, SCW1,
 SCW2, AROW, NAROW, NHERD) take their steps from core; this module supplies
 the binary hooks: the margin y*s, the update direction y*x (DIR_SQ = 1), and
-adds on w, on SOP's v or on the mean mu. ALMA and IELLIP keep their own steps.
+adds on w, on SOP's v or on the mean mu. ALMA and IELLIP keep their own steps,
+and AROW and NHERD run SigmaStep's cycle as an instance-long recurrence.
 
 The audited state vector (whose per-cycle change is reported in
 delta_sq_norm and whose norm primary_norm() returns) is w for first-order
@@ -19,9 +20,9 @@ import math
 import numpy as np
 
 from .core import (PASSIVE_EPS, Learner, PAStep, PerceptronStep, RommaStep, SigmaCycle,
-                   SigmaStep, SparseVector, arow_rule, cw_rule, dense_add, dimension_error, fired,
-                   narow_rule, nherd_rule, ogd_tau, pa1_tau, pa2_tau, passive, scw1_rule,
-                   scw2_rule, sparse_add)
+                   SigmaStep, SparseVector, arow_rule, cw_rule, cycle_matrix, dense_add,
+                   dimension_error, fired, narow_rule, nherd_rule, ogd_tau, pa1_tau, pa2_tau,
+                   passive, scw1_rule, scw2_rule, sparse_add)
 from .errors import ConfigError
 from .params import HyperParams
 
@@ -162,13 +163,13 @@ class SOP(PerceptronStep, BinaryLearner):
     """
 
     kind = "SOP"
+    _P = cycle_matrix
 
     def __init__(self, d, hp):
         super().__init__(d, hp)
         self.v = self._audited = np.zeros(d)
         self._w = self._scored = np.zeros(d)
-        self._P = np.eye(d) / hp.sop_a
-        self._cycle = SigmaCycle(self._P)
+        self._cycle = SigmaCycle(np.eye(d) / hp.sop_a)
 
     def _add_x(self, x, y, r, coef):
         cycle = self._cycle
@@ -181,11 +182,12 @@ class SOP(PerceptronStep, BinaryLearner):
 class SecondOrderLearner(BinaryLearner):
     """Gaussian-state family: mean mu plus covariance Sigma, initialized N(0, I)."""
 
+    sigma = cycle_matrix
+
     def __init__(self, d, hp):
         super().__init__(d, hp)
         self.mu = self._audited = self._scored = np.zeros(d)
-        self.sigma = np.eye(d)
-        self._cycle = SigmaCycle(self.sigma)
+        self._cycle = SigmaCycle(np.eye(d))
 
     def _add_dense(self, sx, y, r, coef):
         return dense_add(self.mu, np.multiply(sx, coef * y, sx), self.audit)
@@ -213,11 +215,76 @@ class SCW2(CW):
 
 
 class AROW(SigmaStep, SecondOrderLearner):
+    """Every cycle on one instance moves mu and Sigma along s = Sigma x, so
+    the first step() of an instance runs sigma_rule on scalars for up to m
+    cycles, stopping at the first passive one (Sigma x is lam*s throughout):
+
+        A += alpha*lam;  B += beta*lam^2;  margin += alpha*v;  v, lam *= 1 - beta*v
+
+    then commits them with one downdate by B and one mean add of A*y*s. The
+    first pass (lam = 1) is SigmaStep's cycle, operation for operation. The
+    later step() calls replay the recorded cycles: mispredicted is
+    margin <= 0, and the audited delta (alpha*lam)^2 ||s||^2, or the
+    committed change when only one cycle fired. NHERD inherits this step;
+    NAROW does not (see Learner).
+    """
+
     kind = "AROW"
     sigma_rule = staticmethod(arow_rule)
 
+    def __init__(self, d, hp):
+        super().__init__(d, hp)
+        self._replay = []           # the instance's recorded cycles, last first
 
-class NAROW(AROW):
+    def begin_instance(self):
+        super().begin_instance()
+        self._replay.clear()
+
+    def step(self, x, y):
+        replay = self._replay
+        if replay:
+            return replay.pop()
+        mis, margin, r = self._margin(x, y)
+        if x.squared_norm() <= PASSIVE_EPS:
+            return passive(mis)
+        cycle = self._cycle
+        v = cycle.sigma_x(x)
+        rule, phi, hp = self.sigma_rule, self._phi, self.hp
+        lam, a, b = 1.0, 0.0, 0.0
+        margins = [margin]          # before each cycle, and after the last fired one
+        scales = []                 # alpha*lam of each fired cycle
+        for _ in range(self.m):
+            coefs = rule(margin, v, phi, hp)
+            if coefs is None:
+                break
+            alpha, beta = coefs
+            c = alpha * lam
+            scales.append(c)
+            a += c
+            b += beta * lam * lam
+            margin += alpha * v
+            margins.append(margin)
+            shrink = 1.0 - beta * v
+            v *= shrink
+            lam *= shrink
+        if not scales:
+            return passive(mis)
+        cycle.downdate(b)
+        sx = cycle.sx
+        wrong = [mk <= 0.0 for mk in margins]
+        if len(scales) == 1:
+            infos = [fired(mis, self._add_dense(sx, y, r, a))]
+        else:
+            sq = float(sx.dot(sx)) if self.audit else 0.0     # before the add scales sx
+            self._add_dense(sx, y, r, a)
+            infos = [fired(w, c * c * sq) for w, c in zip(wrong, scales)]
+        if len(scales) < self.m:    # the cycle after the last fired one was passive
+            infos.append(passive(wrong[-1]))
+        replay.extend(reversed(infos))
+        return replay.pop()
+
+
+class NAROW(SigmaStep, SecondOrderLearner):
     kind = "NAROW"
     sigma_rule = staticmethod(narow_rule)
 
@@ -251,7 +318,7 @@ class IELLIP(SecondOrderLearner):
         sg = cycle.sx
         np.divide(sg, root_v, sg)
         cycle.downdate(self.hp.iellip_c)
-        self.sigma *= self.hp.iellip_b
+        np.multiply(self.sigma, self.hp.iellip_b, self.sigma)
         return fired(mis, self._add_dense(sg, y, None, alpha))
 
 

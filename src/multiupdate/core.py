@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -176,6 +177,15 @@ class Learner:
     triggered=False every further cycle on the same (x, y) is a no-op; the
     engine therefore always stops an instance at its first passive cycle.
 
+    For a directly built learner (m = 1) each step() is one cycle. Binary
+    AROW and NHERD read the run's m: their first step() on an instance runs
+    up to m cycles as one scalar recurrence and commits them at once, and
+    the instance's later step() calls, one per cycle as the engine makes
+    them, return the recorded cycles without touching state; the deltas
+    they report are the recurrence's per-cycle terms. NAROW (whose r
+    switches where b*v lands on 1), the CW family and every multiclass kind
+    (M_AROW's runner-up changes between cycles) step one cycle per call.
+
     delta_sq_norm and primary_norm() measure the same audited vector, which
     makes the accumulated-update norm bound hold on traces by construction.
     """
@@ -184,6 +194,9 @@ class Learner:
     audit: bool = True
     """Whether step() measures delta_sq_norm; False reports 0.0 instead.
     The engine sets it once per run, from whether anything reads the audit."""
+    m: int = 1
+    """The run's cycle cap. The engine sets it from its LoopConfig before the
+    first instance; only the kinds that run an instance as a recurrence read it."""
 
     # Hooks the shared steps below read. r is opaque to them: the label space's
     # _margin returns it and its adds take it (y binary, the top wrong class
@@ -378,7 +391,8 @@ class SigmaCycle:
 
     The cycle keeps the matrix it was built with for the learner's whole
     life, and that matrix, like every other piece of learner state, is only
-    ever written in place. Every cycle on one instance has the same x, so
+    ever written in place; a learner shows it through cycle_matrix, which
+    cannot be rebound. Every cycle on one instance has the same x, so
     sigma_x(x) binds what depends only on x once: for a row whose sel is a
     slice, x's block of rows, transposed, and x's slice of sx. It rebinds
     only when x is not the bound row, and holds a strong reference to it, so
@@ -448,6 +462,11 @@ class SigmaCycle:
         if not gap[gap.argmin()] > 0.0:
             raise NumericalDegeneracyError("rank-1 update lost positive definiteness")
         np.subtract(self.sigma, outer, self.sigma)
+
+
+cycle_matrix = property(operator.attrgetter("_cycle.sigma"), doc="""\
+The learner's SigmaCycle matrix (Sigma, or SOP's P). Assigning to it raises
+AttributeError: the cycle would keep stepping the matrix it was built with.""")
 
 
 ROMMA_EPS = 1e-12

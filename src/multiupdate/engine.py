@@ -10,6 +10,14 @@ ones counted as the repeats they would be; the update count is the number
 of cycles that fired. Of each cycle's UpdateInfo the engine reads triggered,
 mispredicted and, when auditing, delta_sq_norm.
 
+The engine calls learner.step once per cycle, and sets the learner's m
+attribute to the run's cap before the first instance. A directly built
+learner has m = 1, so its step is one cycle. When m > 1, binary AROW and
+NHERD commit an instance's cycles on its first step, as one scalar
+recurrence, and the instance's later steps replay the recorded cycles; their
+sum_delta_sq is the sum of the recurrence's per-cycle terms. NAROW, the CW
+family and the multiclass kinds, M_AROW included, step one cycle per call.
+
 One loop, _run_cycles, runs the cycles of a whole run; process_instance is
 its one-instance case. An audited run (the learner's audit attribute, which
 run_sequence sets once per run from whether --audit-theorem1 or --trace
@@ -101,7 +109,7 @@ def _run_cycles(learner: Learner, instances: Sequence[tuple[SparseVector, int]],
     primary_norm() before the first; a learner that is not auditing takes no
     norm, and both norms read NaN.
     """
-    m = cfg.m
+    m = learner.m = cfg.m
     per_iteration = cfg.counting_mode is CountingMode.PER_ITERATION
     audit = learner.audit
     begin_instance = learner.begin_instance

@@ -28,8 +28,8 @@ import operator
 import numpy as np
 
 from .core import (Learner, PAStep, PerceptronStep, RommaStep, SigmaCycle, SigmaStep,
-                   SparseVector, arow_rule, cw_rule, dense_add, dimension_error, ogd_tau, pa1_tau,
-                   pa2_tau, scw1_rule, scw2_rule, sparse_add)
+                   SparseVector, arow_rule, cw_rule, cycle_matrix, dense_add, dimension_error,
+                   ogd_tau, pa1_tau, pa2_tau, scw1_rule, scw2_rule, sparse_add)
 from .errors import ConfigError
 from .params import HyperParams
 
@@ -182,10 +182,11 @@ class _MSecondOrderBase(MulticlassLearner):
     """W rows as per-class means plus one shared d x d Sigma. The doubled
     decrement keeps it positive: 2*beta*(x^T Sigma x) = beta*v < 1."""
 
+    sigma = cycle_matrix
+
     def __init__(self, num_classes, d, hp):
         super().__init__(num_classes, d, hp)
-        self.sigma = np.eye(d)
-        self._cycle = SigmaCycle(self.sigma)
+        self._cycle = SigmaCycle(np.eye(d))
 
 
 class MAROW(SigmaStep, _MSecondOrderBase):

@@ -91,17 +91,22 @@ def instances_to_text(instances, *, multiclass: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-SCRATCH = frozenset({"_cycle"})
+SCRATCH = frozenset({"_cycle", "_replay"})
 """Learner attributes that hold scratch and bindings, not model state: the
 SigmaCycle of the Sigma kinds and SOP, whose buffers and bound views change
-on every cycle without changing what the learner has learned."""
+on every cycle without changing what the learner has learned, and the
+cycles binary AROW and NHERD recorded for the rest of an instance."""
 
 
 def learner_state(learner) -> dict:
     """A copy of every model-state attribute of a learner (all but SCRATCH),
-    for before/after comparisons."""
-    return {k: np.copy(v) if isinstance(v, np.ndarray) else v
-            for k, v in vars(learner).items() if k not in SCRATCH}
+    for before/after comparisons. The SigmaCycle's matrix (Sigma, or SOP's
+    P) is model state, so it is copied too, under the key "_cycle.sigma"."""
+    state = {k: np.copy(v) if isinstance(v, np.ndarray) else v
+             for k, v in vars(learner).items() if k not in SCRATCH}
+    if "_cycle" in vars(learner):
+        state["_cycle.sigma"] = np.copy(learner._cycle.sigma)
+    return state
 
 
 def same_state(a: dict, b: dict) -> bool:

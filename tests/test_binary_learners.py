@@ -209,6 +209,25 @@ class TestHandValues:
         assert learner.sigma[0, 1] == 0.0
         assert learner.sigma[1, 1] == 1.0
 
+    @pytest.mark.parametrize("kind", ["AROW", "NHERD"])
+    def test_recorded_cycles_replay_and_begin_instance_drops_them(self, kind):
+        # at the run's m = 4 the first step commits the instance's cycles and
+        # the later steps replay them without touching state; begin_instance
+        # drops the cycles left, so the next instance starts afresh
+        x1, x2 = vec((1, 1.0), (2, -0.5)), vec((2, 1.0), (3, 0.25))
+        left, full = make_binary(kind, 3, HP), make_binary(kind, 3, HP)
+        for learner in (left, full):
+            learner.m = 4
+            learner.begin_instance()
+            assert learner.step(x1, +1).triggered
+        committed = learner_state(full)
+        assert all(full.step(x1, +1).triggered for _ in range(3))
+        assert same_state(learner_state(full), committed)
+        for learner in (left, full):
+            learner.begin_instance()
+        assert left.step(x2, -1) == full.step(x2, -1)
+        assert same_state(learner_state(left), learner_state(full))
+
     def test_sop_first_mistake(self):
         learner = make_binary("SOP", 2, HP.replace(sop_a=1.0))
         learner.begin_instance()

@@ -269,8 +269,19 @@ class TestRunSequence:
         instances = separable_instances(40, 5, seed=11, margin=0.05, noise=0.15)
         cfg = LoopConfig(m=4, counting_mode=mode)
         learner, records, stats = run_sequence(kind, HP, instances, 5, cfg)
-        assert _all_cycles(make_binary(kind, 5, HP), instances, cfg) == \
-            _summary(learner, records, stats)
+        expected = _all_cycles(make_binary(kind, 5, HP), instances, cfg)
+        got = _summary(learner, records, stats)
+        if kind not in ("AROW", "NHERD"):
+            assert expected == got
+            return
+        # AROW and NHERD run an instance's cycles as one scalar recurrence and
+        # commit them once, so their norms round differently from a directly
+        # built learner's one-cycle steps; every count stays exact
+        assert expected[:2] == got[:2]
+        assert [row[:3] for row in expected[2]] == [row[:3] for row in got[2]]
+        assert [row[3] for row in got[2]] == pytest.approx([row[3] for row in expected[2]],
+                                                           rel=1e-12)
+        assert got[3] == pytest.approx(expected[3], rel=1e-12)
 
     @pytest.mark.parametrize("kind", sorted(MULTICLASS_KINDS))
     @pytest.mark.parametrize("mode", list(CountingMode))
@@ -281,7 +292,7 @@ class TestRunSequence:
         assert _all_cycles(make_multiclass(kind, 3, 5, HP), instances, cfg) == \
             _summary(learner, records, stats)
 
-    @pytest.mark.parametrize("kind", ("PA", "OGD", "CW", "SOP"))
+    @pytest.mark.parametrize("kind", ("PA", "OGD", "CW", "SOP", "AROW", "NHERD"))
     def test_m1_matches_direct_single_step_loop(self, kind):
         instances = separable_instances(120, 8, seed=4, margin=0.05, noise=0.1)
         engine_learner, _, stats = run_sequence(kind, HP, instances, 8,

@@ -203,6 +203,19 @@ def test_a_matrix_written_in_place_is_read_by_the_next_cycle(kind, d, monkeypatc
             assert seen[0][1] == float(ref[x.indices] @ x.values)
 
 
+@pytest.mark.parametrize("kind", ["AROW", "M_CW", "SOP"])
+def test_rebinding_the_cycle_matrix_raises(kind):
+    # the SigmaCycle keeps the matrix it was built with, so a new array bound
+    # to sigma (or SOP's P) would be shown but never stepped: it is refused
+    learner = (make_multiclass(kind, K, 3, HyperParams()) if kind.startswith("M_")
+               else make_binary(kind, 3, HyperParams()))
+    name = "_P" if kind == "SOP" else "sigma"
+    matrix = getattr(learner, name)
+    with pytest.raises(AttributeError):
+        setattr(learner, name, np.eye(3))
+    assert getattr(learner, name) is matrix is learner._cycle.sigma
+
+
 @pytest.mark.parametrize("sx", [[np.nan, 2.0, 0.5], [0.5, 0.1, np.nan]])
 def test_downdate_with_nan_raises_and_leaves_sigma(sx):
     # argmin picks the first NaN of the gap, and not NaN > 0 holds, so a NaN

@@ -217,6 +217,12 @@ def test_arow_at_m_32_keeps_its_binary_sweep_counts():
     assert _runs("binary-sweep", "AROW", HP, 32)[0] == (226 / 600, 32 * 574)
 
 
+def test_nherd_at_m_32_keeps_its_binary_sweep_counts():
+    # permutation 0, binary-sweep's golden row: NHERD runs an instance's
+    # cycles as one scalar recurrence, as AROW does, and must keep its counts
+    assert _runs("binary-sweep", "NHERD", HP, 32)[0] == (218 / 600, 32 * 570)
+
+
 @pytest.mark.parametrize("stand_in, m", _per_stand_in(M_VALUES))
 def test_pa1_at_m_makes_the_mistakes_of_pa1_with_cap_m_c(stand_in, m):
     hp = HP.replace(C=PA1_C[stand_in])
